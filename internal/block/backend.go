@@ -63,33 +63,25 @@ type Backend interface {
 // compressed-domain execution: a backend that can evaluate predicates
 // directly on its encoded pages (dictionary codes, bit-packed words)
 // without decoding full column vectors. The engine type-asserts for it and
-// falls back to ReadBlock + decode when absent (the in-memory backend) or
-// when CompileScan declines.
+// falls back to ReadBlock + decode when absent (the in-memory backend).
 type CompressedScanner interface {
 	// CompileScan compiles the filters for compressed-domain evaluation
 	// against the named table, translating literals into the stored
-	// representation once per (query, table). It returns nil when the
-	// table has no stored layout; otherwise scan.Supported reports
-	// per-filter whether the compressed path covers it.
+	// representation once per (query, table). Every predicate compiles.
+	// It returns nil when the table has no stored layout.
 	CompileScan(table string, filters []predicate.Predicate) CompressedScan
 }
 
 // CompressedScan is one query's compiled scan over one table. It is safe
 // for concurrent use by parallel workers.
 type CompressedScan interface {
-	// Supported reports, per filter (parallel to the CompileScan input),
-	// whether ScanBlock evaluates it. Unsupported filters keep their mask
-	// untouched; the caller must evaluate them via the decode path.
-	Supported() []bool
 	// ScanBlock meters the read of block id — charging BlocksRead and
-	// RowsRead exactly like Backend.ReadBlock — evaluates every supported
-	// filter over the block's encoded pages, and ORs the matching rows
-	// into the corresponding global-row bitmap (mask[r>>6] bit r&63,
-	// indexed by table row ID). masks is parallel to the CompileScan
-	// filters; nil entries (and unsupported filters) are skipped. It
-	// returns the block's row IDs so the caller can track block
-	// membership without a second read.
-	ScanBlock(id int, masks [][]uint64) ([]int32, error)
+	// RowsRead exactly like Backend.ReadBlock — evaluates every filter
+	// over the block's encoded pages, and ORs the matching rows into the
+	// corresponding global-row bitmap (mask[r>>6] bit r&63, indexed by
+	// table row ID). masks is parallel to the CompileScan filters; nil
+	// entries are skipped. It returns the number of rows in the block.
+	ScanBlock(id int, masks [][]uint64) (int, error)
 	// Prefetch queues background loads of the given blocks into the
 	// backend's cache (best-effort, bounded; the slice is copied). A
 	// subsequent ScanBlock overlaps with or joins the in-flight load.

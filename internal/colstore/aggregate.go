@@ -424,7 +424,7 @@ func foldSumInt(pv pageView, nrows int, masked []uint64, pop int, st *block.AggS
 			return nil
 		}
 	}
-	vals, err := decodeIntsScratch(pv, nrows, sc)
+	vals, err := decodeIntsScratch(pv, nrows, sc, &sc.ints)
 	if err != nil {
 		return err
 	}
@@ -489,7 +489,7 @@ func foldMinMaxInt(pv pageView, op workload.AggOp, nrows int, masked []uint64, s
 			return nil
 		}
 	}
-	vals, err := decodeIntsScratch(pv, nrows, sc)
+	vals, err := decodeIntsScratch(pv, nrows, sc, &sc.ints)
 	if err != nil {
 		return err
 	}

@@ -363,7 +363,7 @@ func (t *TableGroupedAggregate) groupSlots(gpv pageView, nrows int, local []uint
 				}
 			}
 		}
-		vals, err := decodeIntsScratch(gpv, nrows, sc)
+		vals, err := decodeIntsScratch(gpv, nrows, sc, &sc.ints)
 		if err != nil {
 			return err
 		}
@@ -530,7 +530,7 @@ func foldSumIntGrouped(pv pageView, nrows int, masked []uint64, slots []int32, s
 			return nil
 		}
 	}
-	vals, err := decodeIntsScratch(pv, nrows, sc)
+	vals, err := decodeIntsScratch(pv, nrows, sc, &sc.ints)
 	if err != nil {
 		return err
 	}
@@ -550,7 +550,7 @@ func foldSumIntGrouped(pv pageView, nrows int, masked []uint64, slots []int32, s
 // short-circuits do not apply (the zone interval spans all groups), so
 // every encoding decodes into pooled scratch and folds per survivor.
 func foldMinMaxIntGrouped(pv pageView, op workload.AggOp, nrows int, masked []uint64, slots []int32, sts []block.AggState, sc *scratch) error {
-	vals, err := decodeIntsScratch(pv, nrows, sc)
+	vals, err := decodeIntsScratch(pv, nrows, sc, &sc.ints)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -18,7 +19,10 @@ import (
 // (or code range — dictionaries are sorted) and compare raw codes;
 // FOR-packed int pages rebase the literal into the packed unsigned domain
 // and compare packed words; delta/raw pages decode into pooled scratch,
-// never into retained vectors. Null rows are cleared from each leaf's mask
+// never into retained vectors. A same-row column comparison decodes both
+// of the block's pages into scratch and compares them pairwise. Every
+// predicate compiles, so no filter falls back to a whole-table pass. Null
+// rows are cleared from each leaf's mask
 // straight off the raw page null bitmap. The evaluation order and
 // semantics mirror predicate.CompileMask exactly — including AND/OR child
 // isolation and NOT IN null-literal handling — which is what makes the
@@ -28,12 +32,11 @@ import (
 // pinned to the segment generation current at compile time. It is safe
 // for concurrent use by parallel scan workers.
 type TableScan struct {
-	store     *Store
-	table     string
-	st        *tableState
-	progs     []predicate.ScanNode // parallel to the CompileScan filters; nil = unsupported
-	supported []bool
-	colIdx    map[string]int
+	store  *Store
+	table  string
+	st     *tableState
+	progs  []predicate.ScanNode // parallel to the CompileScan filters
+	colIdx map[string]int
 }
 
 var _ block.CompressedScan = (*TableScan)(nil)
@@ -60,25 +63,17 @@ func (s *Store) CompileScan(table string, filters []predicate.Predicate) block.C
 		return seg.cols[ci].kind, true
 	}
 	ts := &TableScan{
-		store:     s,
-		table:     table,
-		st:        st,
-		progs:     make([]predicate.ScanNode, len(filters)),
-		supported: make([]bool, len(filters)),
-		colIdx:    colIdx,
+		store:  s,
+		table:  table,
+		st:     st,
+		progs:  make([]predicate.ScanNode, len(filters)),
+		colIdx: colIdx,
 	}
 	for i, f := range filters {
-		if node, ok := predicate.CompileScan(f, kindOf); ok {
-			ts.progs[i] = node
-			ts.supported[i] = true
-		}
+		ts.progs[i] = predicate.CompileScan(f, kindOf)
 	}
 	return ts
 }
-
-// Supported implements block.CompressedScan. Callers must not mutate the
-// returned slice.
-func (t *TableScan) Supported() []bool { return t.supported }
 
 // Prefetch implements block.CompressedScan: it queues background loads of
 // the blocks' encoded pages (best-effort; the slice is copied).
@@ -88,25 +83,25 @@ func (t *TableScan) Prefetch(ids []int) {
 
 // ScanBlock implements block.CompressedScan. It meters the block read
 // exactly like Backend.ReadBlock, fetches the encoded block through the
-// buffer pool, evaluates every supported filter with a non-nil mask over
-// the encoded pages, and ORs matching rows into the global-row masks.
-func (t *TableScan) ScanBlock(id int, masks [][]uint64) ([]int32, error) {
+// buffer pool, evaluates every filter with a non-nil mask over the encoded
+// pages, and ORs matching rows into the global-row masks.
+func (t *TableScan) ScanBlock(id int, masks [][]uint64) (int, error) {
 	seg := t.st.seg
 	if id < 0 || id >= seg.NumBlocks() {
-		return nil, fmt.Errorf("colstore: %s has no block %d", t.table, id)
+		return 0, fmt.Errorf("colstore: %s has no block %d", t.table, id)
 	}
 	t.store.blocksRead.Add(1)
 	t.store.rowsRead.Add(int64(seg.BlockRows(id)))
 	eb, err := t.store.encodedBlock(t.table, t.st, id)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	nrows := len(eb.Block.Rows)
 	sc := getScratch()
 	defer putScratch(sc)
 	nw := (nrows + 63) / 64
 	for i, prog := range t.progs {
-		if prog == nil || i >= len(masks) || masks[i] == nil {
+		if i >= len(masks) || masks[i] == nil {
 			continue
 		}
 		local := sc.grabMask(nw)
@@ -116,10 +111,10 @@ func (t *TableScan) ScanBlock(id int, masks [][]uint64) ([]int32, error) {
 		}
 		sc.releaseMask(local)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
-	return eb.Block.Rows, nil
+	return nrows, nil
 }
 
 // eval evaluates one compiled node over the block's encoded pages into
@@ -216,6 +211,37 @@ func (t *TableScan) eval(n predicate.ScanNode, eb *EncodedBlock, nrows int, out 
 			return t.pageErr(q.Column, err)
 		}
 		clearNullBits(pv.nulls, out)
+		return nil
+	case *predicate.ScanInFloat:
+		pv, err := t.page(eb, q.Column, nrows)
+		if err != nil {
+			return err
+		}
+		vals, err := decodeFloatsInto(pv, nrows, &sc.floats)
+		if err != nil {
+			return t.pageErr(q.Column, err)
+		}
+		for i, v := range vals {
+			if q.Matches(v) {
+				out[i>>6] |= 1 << (uint(i) & 63)
+			}
+		}
+		clearNullBits(pv.nulls, out)
+		return nil
+	case *predicate.ScanColCmp:
+		lp, err := t.page(eb, q.Left, nrows)
+		if err != nil {
+			return err
+		}
+		rp, err := t.page(eb, q.Right, nrows)
+		if err != nil {
+			return err
+		}
+		if err := evalColCmp(lp, rp, q, nrows, out, sc); err != nil {
+			return fmt.Errorf("colstore: scan %s.%s %s %s: %w", t.table, q.Left, q.Op, q.Right, err)
+		}
+		clearNullBits(lp.nulls, out)
+		clearNullBits(rp.nulls, out)
 		return nil
 	case *predicate.ScanLike:
 		pv, err := t.page(eb, q.Column, nrows)
@@ -320,7 +346,7 @@ func evalCmpInt(pv pageView, op predicate.Op, lit int64, nrows int, out []uint64
 			return nil
 		}
 	}
-	vals, err := decodeIntsScratch(pv, nrows, sc)
+	vals, err := decodeIntsScratch(pv, nrows, sc, &sc.ints)
 	if err != nil {
 		return err
 	}
@@ -330,24 +356,148 @@ func evalCmpInt(pv pageView, op predicate.Op, lit int64, nrows int, out []uint64
 
 // evalCmpFloat evaluates (col op lit) over a raw float page.
 func evalCmpFloat(pv pageView, op predicate.Op, lit float64, nrows int, out []uint64, sc *scratch) error {
+	vals, err := decodeFloatsInto(pv, nrows, &sc.floats)
+	if err != nil {
+		return err
+	}
+	cmpFloat64s(vals, op, lit, out)
+	return nil
+}
+
+// evalColCmp evaluates a same-row column comparison over the block's two
+// pages: both decode into separate pooled scratch vectors (an int side
+// widens to float64 when the other side is float; strings are compared as
+// byte views into the pages) and one branchless per-operator loop compares
+// them. Null bits are the caller's to clear.
+func evalColCmp(lp, rp pageView, q *predicate.ScanColCmp, nrows int, out []uint64, sc *scratch) error {
+	switch {
+	case q.LeftKind == value.KindInt && q.RightKind == value.KindInt:
+		l, err := decodeIntsScratch(lp, nrows, sc, &sc.ints)
+		if err != nil {
+			return err
+		}
+		r, err := decodeIntsScratch(rp, nrows, sc, &sc.ints2)
+		if err != nil {
+			return err
+		}
+		predicate.CompareColumns(l, r, q.Op, out)
+	case q.LeftKind == value.KindString:
+		l, err := stringViews(lp, nrows, sc, &sc.views)
+		if err != nil {
+			return err
+		}
+		r, err := stringViews(rp, nrows, sc, &sc.views2)
+		if err != nil {
+			return err
+		}
+		for i, b := range l {
+			if opMatches(q.Op, bytes.Compare(b, r[i])) {
+				out[i>>6] |= 1 << (uint(i) & 63)
+			}
+		}
+	default: // float/float, or an int side widened against a float side
+		l, err := decodeNumericFloats(lp, q.LeftKind, nrows, sc, &sc.floats)
+		if err != nil {
+			return err
+		}
+		r, err := decodeNumericFloats(rp, q.RightKind, nrows, sc, &sc.floats2)
+		if err != nil {
+			return err
+		}
+		predicate.CompareColumns(l, r, q.Op, out)
+	}
+	return nil
+}
+
+// decodeNumericFloats decodes a numeric page into *dst as float64s,
+// widening an int page's values.
+func decodeNumericFloats(pv pageView, kind value.Kind, nrows int, sc *scratch, dst *[]float64) ([]float64, error) {
+	if kind == value.KindFloat {
+		return decodeFloatsInto(pv, nrows, dst)
+	}
+	ints, err := decodeIntsScratch(pv, nrows, sc, &sc.ints)
+	if err != nil {
+		return nil, err
+	}
+	out := grow(dst, len(ints))
+	for i, v := range ints {
+		out[i] = float64(v)
+	}
+	return out, nil
+}
+
+// decodeFloatsInto decodes a raw float page body into *dst, pooled
+// scratch that is reused across calls.
+func decodeFloatsInto(pv pageView, nrows int, dst *[]float64) ([]float64, error) {
 	if pv.enc != encFloatRaw {
-		return fmt.Errorf("unknown float encoding 0x%02x", pv.enc)
+		return nil, fmt.Errorf("unknown float encoding 0x%02x", pv.enc)
 	}
 	r := &bufReader{buf: pv.body}
 	n := r.count(8)
 	if !r.checkCount(n, nrows) {
-		return r.err()
+		return nil, r.err()
 	}
 	data := r.bytes(8 * n)
 	if r.fail != nil {
-		return r.err()
+		return nil, r.err()
 	}
-	vals := sc.grabFloats(n)
+	vals := grow(dst, n)
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
 	}
-	cmpFloat64s(vals, op, lit, out)
-	return nil
+	return vals, nil
+}
+
+// stringViews returns each row's string of a string page as a byte slice
+// aliasing the page body (no string is materialized), in *dst.
+func stringViews(pv pageView, nrows int, sc *scratch, dst *[][]byte) ([][]byte, error) {
+	r := &bufReader{buf: pv.body}
+	switch pv.enc {
+	case encStrRaw:
+		n := r.count(1)
+		if !r.checkCount(n, nrows) {
+			return nil, r.err()
+		}
+		out := grow(dst, n)
+		for k := range out {
+			out[k] = r.bytes(r.count(1))
+			if r.fail != nil {
+				return nil, r.err()
+			}
+		}
+		return out, nil
+	case encStrDict:
+		n := r.count(0)
+		if !r.checkCount(n, nrows) {
+			return nil, r.err()
+		}
+		nd := r.count(1)
+		if r.fail != nil {
+			return nil, r.err()
+		}
+		offs, lens, err := indexDict(r, nd, sc)
+		if err != nil {
+			return nil, err
+		}
+		width := int(r.u8())
+		if r.fail != nil {
+			return nil, r.err()
+		}
+		codes := sc.grabWords(n)
+		if err := unpackBitsInto(codes, r.buf[r.off:], width); err != nil {
+			return nil, err
+		}
+		out := grow(dst, n)
+		for k, c := range codes {
+			if c >= uint64(nd) {
+				return nil, fmt.Errorf("dictionary code %d out of range (%d entries)", c, nd)
+			}
+			out[k] = pv.body[offs[c] : offs[c]+lens[c]]
+		}
+		return out, nil
+	default:
+		return nil, fmt.Errorf("unknown string encoding 0x%02x", pv.enc)
+	}
 }
 
 // evalCmpStr evaluates (col op lit) over a string page. Dict pages
@@ -430,13 +580,13 @@ func evalCmpStr(pv pageView, op predicate.Op, lit string, nrows int, out []uint6
 }
 
 // evalInInt evaluates col [NOT] IN over an int page, decoding into pooled
-// scratch and probing the precompiled set. Mirrors maskInList: NOT IN with
-// a null literal matches nothing.
+// scratch and probing the precompiled set. Mirrors CompileMask: NOT IN
+// with a null literal matches nothing.
 func evalInInt(pv pageView, q *predicate.ScanInInt, nrows int, out []uint64, sc *scratch) error {
 	if q.Negate && q.HasNullLit {
 		return nil
 	}
-	vals, err := decodeIntsScratch(pv, nrows, sc)
+	vals, err := decodeIntsScratch(pv, nrows, sc, &sc.ints)
 	if err != nil {
 		return err
 	}
@@ -584,9 +734,10 @@ func evalLike(pv pageView, q *predicate.ScanLike, nrows int, out []uint64, sc *s
 	}
 }
 
-// decodeIntsScratch decodes an int page body into pooled scratch (never a
-// retained vector).
-func decodeIntsScratch(pv pageView, nrows int, sc *scratch) ([]int64, error) {
+// decodeIntsScratch decodes an int page body into *dst, one of the
+// scratch's int vectors (never a retained vector), unpacking through the
+// scratch's word buffer.
+func decodeIntsScratch(pv pageView, nrows int, sc *scratch, dst *[]int64) ([]int64, error) {
 	r := &bufReader{buf: pv.body}
 	switch pv.enc {
 	case encIntRaw:
@@ -598,7 +749,7 @@ func decodeIntsScratch(pv pageView, nrows int, sc *scratch) ([]int64, error) {
 		if r.fail != nil {
 			return nil, r.err()
 		}
-		out := sc.grabInts(n)
+		out := grow(dst, n)
 		for i := range out {
 			out[i] = int64(binary.LittleEndian.Uint64(data[i*8:]))
 		}
@@ -617,7 +768,7 @@ func decodeIntsScratch(pv pageView, nrows int, sc *scratch) ([]int64, error) {
 		if err := unpackBitsInto(codes, r.buf[r.off:], width); err != nil {
 			return nil, err
 		}
-		out := sc.grabInts(n)
+		out := grow(dst, n)
 		for i, c := range codes {
 			out[i] = int64(c + uint64(min))
 		}
@@ -628,7 +779,7 @@ func decodeIntsScratch(pv pageView, nrows int, sc *scratch) ([]int64, error) {
 			return nil, r.err()
 		}
 		if n == 0 {
-			return sc.grabInts(0), nil
+			return grow(dst, 0), nil
 		}
 		first := r.varint()
 		minDelta := r.varint()
@@ -640,7 +791,7 @@ func decodeIntsScratch(pv pageView, nrows int, sc *scratch) ([]int64, error) {
 		if err := unpackBitsInto(deltas, r.buf[r.off:], width); err != nil {
 			return nil, err
 		}
-		out := sc.grabInts(n)
+		out := grow(dst, n)
 		cur := first
 		out[0] = cur
 		for i, d := range deltas {

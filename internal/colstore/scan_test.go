@@ -102,6 +102,18 @@ func scanPredicates() []predicate.Predicate {
 			preds = append(preds, predicate.NewComparison("s_raw", op, value.String(lit)))
 		}
 	}
+	// Column comparisons across every encoding pairing, with both columns'
+	// null cadences in play.
+	for _, pair := range [][2]string{
+		{"i_for", "i_delta"}, {"i_delta", "i_raw"}, {"i_raw", "i_for"}, {"i_for", "i_for"},
+		{"f", "i_for"}, {"i_delta", "f"}, {"f", "f"},
+		{"s_dict", "s_raw"}, {"s_raw", "s_dict"}, {"s_dict", "s_dict"},
+		{"s_dict", "i_for"}, {"missing", "f"},
+	} {
+		for _, op := range ops {
+			preds = append(preds, &predicate.ColumnComparison{Left: pair[0], Op: op, Right: pair[1]})
+		}
+	}
 	preds = append(preds,
 		predicate.NewIn("i_for", value.Int(100), value.Int(250), value.Int(211)),
 		predicate.NewNotIn("i_for", value.Int(100), value.Int(211)),
@@ -116,6 +128,16 @@ func scanPredicates() []predicate.Predicate {
 		// Mixed-kind and empty lists.
 		predicate.NewIn("i_for", value.String("x"), value.Int(137)),
 		predicate.NewIn("i_for"),
+		// Float literals on int columns compare as float64, as in EvalRow.
+		predicate.NewIn("i_for", value.Float(100), value.Float(211.5)),
+		predicate.NewNotIn("i_delta", value.Float(3*1_000_003)),
+		predicate.NewComparison("i_for", predicate.Lt, value.Float(211.5)),
+		predicate.NewComparison("i_raw", predicate.Ge, value.Float(math.MaxInt64)),
+		// Float IN lists and incomparable literals.
+		predicate.NewIn("f", value.Float(10.25), value.Int(3)),
+		predicate.NewNotIn("f", value.Float(10.25)),
+		predicate.NewNotIn("f", value.Float(10.25), value.Null),
+		predicate.NewComparison("s_dict", predicate.Eq, value.Int(1)),
 		predicate.NewLike("s_dict", "v0%"),
 		predicate.NewLike("s_dict", "%1"),
 		predicate.NewLike("s_dict", "v_1"),
@@ -141,6 +163,10 @@ func scanPredicates() []predicate.Predicate {
 			predicate.NewComparison("i_raw", predicate.Gt, value.Int(0)),
 			predicate.NewLike("s_raw", "u001%"),
 		),
+		predicate.NewAnd(
+			predicate.NewComparison("i_for", predicate.Gt, value.Int(150)),
+			&predicate.ColumnComparison{Left: "i_for", Op: predicate.Lt, Right: "f"},
+		),
 	)
 	return preds
 }
@@ -165,10 +191,10 @@ func newScanStore(t *testing.T, tab *relation.Table, groups [][]int32, cacheByte
 }
 
 // TestCompressedScanMatchesFillMask is the per-encoding identity gate:
-// every predicate the compressed compiler accepts must produce exactly
-// FillMask's bits when evaluated over encoded pages, on a single-block
-// layout and on out-of-order multi-block layouts (exercising the
-// global-row scatter), with and without a cache.
+// every predicate must produce exactly CompileMask's bits — which must be
+// EvalRow's — when evaluated over encoded pages, on a single-block layout
+// and on out-of-order multi-block layouts (exercising the global-row
+// scatter), with and without a cache.
 func TestCompressedScanMatchesFillMask(t *testing.T) {
 	tab := scanTable(t, 200)
 	n := tab.NumRows()
@@ -187,38 +213,28 @@ func TestCompressedScanMatchesFillMask(t *testing.T) {
 				s := newScanStore(t, tab, groups, cacheBytes)
 				recordEncodings(t, s, seenEnc)
 				scan := s.CompileScan("sc", preds).(*TableScan)
-				supported := scan.Supported()
 				masks := make([][]uint64, len(preds))
 				nw := (n + 63) / 64
 				for i := range masks {
-					if supported[i] {
-						masks[i] = make([]uint64, nw)
-					}
+					masks[i] = make([]uint64, nw)
 				}
 				for id := 0; id < s.NumBlocks("sc"); id++ {
 					if _, err := scan.ScanBlock(id, masks); err != nil {
 						t.Fatal(err)
 					}
 				}
-				unsupported := 0
 				for i, p := range preds {
 					want := make([]uint64, nw)
-					wantOK := predicate.CompileMask(p, tab, want)
-					if supported[i] != wantOK {
-						t.Errorf("%s: CompileScan support %v, CompileMask support %v", p, supported[i], wantOK)
-						continue
-					}
-					if !supported[i] {
-						unsupported++
-						continue
-					}
+					predicate.CompileMask(p, tab, want)
 					if !reflect.DeepEqual(masks[i], want) {
-						t.Errorf("%s: compressed mask differs from FillMask\n got %x\nwant %x", p, masks[i], want)
+						t.Errorf("%s: compressed mask differs from CompileMask\n got %x\nwant %x", p, masks[i], want)
 					}
-				}
-				// The matrix must actually exercise the compressed path.
-				if supportedCount := len(preds) - unsupported; supportedCount < len(preds)*3/4 {
-					t.Fatalf("only %d/%d predicates compiled to compressed scans", supportedCount, len(preds))
+					for r := 0; r < n; r++ {
+						if got := want[r>>6]&(1<<(uint(r)&63)) != 0; got != p.EvalRow(tab, r) {
+							t.Errorf("%s: CompileMask row %d = %v, EvalRow disagrees", p, r, got)
+							break
+						}
+					}
 				}
 			})
 		}
@@ -413,7 +429,7 @@ func TestBlockColumnDictBridge(t *testing.T) {
 }
 
 // FuzzCompressedPredicate cross-checks the compressed evaluator against
-// FillMask on randomly generated single-column pages: random value
+// CompileMask on randomly generated single-column pages: random value
 // distributions (forcing different encodings), random null cadences, and
 // random operators/literals.
 func FuzzCompressedPredicate(f *testing.F) {
@@ -490,39 +506,42 @@ func FuzzCompressedPredicate(f *testing.F) {
 	})
 }
 
-// checkPageIdentity encodes tab's single column exactly as WriteSegment
-// would, evaluates p over the encoded page, and compares against FillMask.
+// checkPageIdentity evaluates p over tab's encoded pages and compares
+// against CompileMask.
 func checkPageIdentity(t *testing.T, tab *relation.Table, p predicate.Predicate) {
 	t.Helper()
+	want := make([]uint64, (tab.NumRows()+63)/64)
+	predicate.CompileMask(p, tab, want)
+	if got := evalPages(t, tab, p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: compressed mask differs\n got %x\nwant %x", p, got, want)
+	}
+}
+
+// evalPages encodes every column of tab exactly as WriteSegment would and
+// evaluates p over the encoded pages as one block.
+func evalPages(t *testing.T, tab *relation.Table, p predicate.Predicate) []uint64 {
+	t.Helper()
 	n := tab.NumRows()
-	payload := encodeColumnPage(tab, 0)
-	node, ok := predicate.CompileScan(p, func(col string) (value.Kind, bool) {
+	ts := &TableScan{table: tab.Schema().Table(), colIdx: map[string]int{}}
+	eb := &EncodedBlock{}
+	for ci := 0; ci < tab.Schema().NumColumns(); ci++ {
+		ts.colIdx[tab.Schema().Column(ci).Name] = ci
+		eb.Cols = append(eb.Cols, encodeColumnPage(tab, ci))
+	}
+	node := predicate.CompileScan(p, func(col string) (value.Kind, bool) {
 		ci, found := tab.Schema().ColumnIndex(col)
 		if !found {
 			return value.KindNull, false
 		}
 		return tab.Schema().Column(ci).Type, true
 	})
-	nw := (n + 63) / 64
-	want := make([]uint64, nw)
-	wantOK := predicate.CompileMask(p, tab, want)
-	if ok != wantOK {
-		t.Fatalf("%s: CompileScan support %v, CompileMask support %v", p, ok, wantOK)
-	}
-	if !ok {
-		return
-	}
-	ts := &TableScan{table: "fz", colIdx: map[string]int{tab.Schema().Column(0).Name: 0}}
-	eb := &EncodedBlock{Cols: [][]byte{payload}}
-	got := make([]uint64, nw)
+	got := make([]uint64, (n+63)/64)
 	sc := getScratch()
 	defer putScratch(sc)
 	if err := ts.eval(node, eb, n, got, sc); err != nil {
 		t.Fatalf("%s: eval: %v", p, err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: compressed mask differs\n got %x\nwant %x", p, got, want)
-	}
+	return got
 }
 
 // encodeColumnPage builds column ci's page payload exactly like
@@ -541,4 +560,83 @@ func encodeColumnPage(tab *relation.Table, ci int) []byte {
 		encodeStrings(w, tab.Strings(ci))
 	}
 	return w.buf
+}
+
+// fuzzColumn generates n values for one column of the given encoding
+// class — 0 FOR int, 1 delta int, 2 raw int, 3 float (with NaNs), 4 dict
+// string, 5 raw string — nulling every nullEvery-th row. Delta ints and
+// raw strings take at most one null: null slots store a zero backing
+// value, which would break the monotone run or the all-distinct strings
+// that select those encodings.
+func fuzzColumn(rng *rand.Rand, class, n, nullEvery int) (value.Kind, []value.Value) {
+	kinds := []value.Kind{value.KindInt, value.KindInt, value.KindInt, value.KindFloat, value.KindString, value.KindString}
+	vals := make([]value.Value, n)
+	for i := range vals {
+		switch class {
+		case 0:
+			vals[i] = value.Int(int64(rng.Intn(12)) - 2)
+		case 1:
+			vals[i] = value.Int(int64(i)*9973 + int64(rng.Intn(5)))
+		case 2:
+			switch rng.Intn(3) {
+			case 0:
+				vals[i] = value.Int(math.MinInt64 + int64(rng.Intn(1000)))
+			case 1:
+				vals[i] = value.Int(math.MaxInt64 - int64(rng.Intn(1000)))
+			default:
+				vals[i] = value.Int(int64(rng.Intn(12)) - 2)
+			}
+		case 3:
+			f := float64(rng.Intn(24))*0.5 - 2
+			if rng.Intn(16) == 0 {
+				f = math.NaN()
+			}
+			vals[i] = value.Float(f)
+		case 4:
+			vals[i] = value.String(fmt.Sprintf("k%d", rng.Intn(6)))
+		default:
+			vals[i] = value.String(fmt.Sprintf("k%d-%04d", rng.Intn(6), i))
+		}
+		single := class == 1 || class == 5
+		if nullEvery > 0 && (i == nullEvery || !single && i%nullEvery == 0) {
+			vals[i] = value.Null
+		}
+	}
+	return kinds[class], vals
+}
+
+// FuzzCompressedColumnComparison checks same-row column comparisons over
+// encoded pages against EvalRow: two columns, each with its own encoding
+// and null cadence, compared under every operator in both orders.
+func FuzzCompressedColumnComparison(f *testing.F) {
+	for i, pair := range [][2]uint8{{0, 0}, {0, 1}, {1, 2}, {2, 2}, {3, 3}, {0, 3}, {3, 2}, {4, 4}, {4, 5}, {5, 5}, {4, 0}} {
+		f.Add(int64(i+1), pair[0], pair[1])
+	}
+	f.Fuzz(func(t *testing.T, seed int64, lClass, rClass uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(200)
+		lk, lv := fuzzColumn(rng, int(lClass)%6, n, rng.Intn(6))
+		rk, rv := fuzzColumn(rng, int(rClass)%6, n, rng.Intn(6))
+		tab := relation.NewTable(relation.MustSchema("fz",
+			relation.Column{Name: "l", Type: lk},
+			relation.Column{Name: "r", Type: rk},
+		))
+		for i := 0; i < n; i++ {
+			tab.MustAppendRow(lv[i], rv[i])
+		}
+		for _, op := range []predicate.Op{predicate.Eq, predicate.Ne, predicate.Lt, predicate.Le, predicate.Gt, predicate.Ge} {
+			for _, p := range []predicate.Predicate{
+				&predicate.ColumnComparison{Left: "l", Op: op, Right: "r"},
+				&predicate.ColumnComparison{Left: "r", Op: op, Right: "l"},
+			} {
+				got := evalPages(t, tab, p)
+				for r := 0; r < n; r++ {
+					if bit := got[r>>6]&(1<<(uint(r)&63)) != 0; bit != p.EvalRow(tab, r) {
+						t.Fatalf("%s: row %d (%v vs %v) compressed=%v, EvalRow disagrees",
+							p, r, tab.Row(r)[0], tab.Row(r)[1], bit)
+					}
+				}
+			}
+		}
+	})
 }

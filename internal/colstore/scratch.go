@@ -46,17 +46,23 @@ func putWordBuf(wb *wordBuf) { wordBufPool.Put(wb) }
 
 // scratch is the compressed-scan evaluator's pooled working set: local row
 // masks (with a small free list for nested AND/OR evaluation), unpacked
-// code words, decoded int runs, and dictionary offset indexes.
+// code words, decoded int runs, and dictionary offset indexes. Column
+// comparisons decode two pages at once, so the value vectors come in
+// pairs.
 type scratch struct {
-	free   [][]uint64 // local-mask free list
-	words  []uint64   // unpacked packed-domain values / dictionary codes
-	ints   []int64    // decoded int values (delta / raw paths, IN probes)
-	floats []float64  // decoded float values
-	offs   []int32    // dictionary entry byte offsets (into the page body)
-	lens   []int32    // dictionary entry byte lengths
-	member []uint64   // dictionary-code membership bits (IN / LIKE)
-	slots  []int32    // per-row group slots (grouped folds)
-	lg     []int32    // block-local → global dictionary code translation
+	free    [][]uint64 // local-mask free list
+	words   []uint64   // unpacked packed-domain values / dictionary codes
+	ints    []int64    // decoded int values (delta / raw paths, IN probes)
+	ints2   []int64    // right-hand int column of a column comparison
+	floats  []float64  // decoded float values
+	floats2 []float64  // right-hand (or widened) float column
+	views   [][]byte   // per-row string views into a page body
+	views2  [][]byte   // right-hand string column
+	offs    []int32    // dictionary entry byte offsets (into the page body)
+	lens    []int32    // dictionary entry byte lengths
+	member  []uint64   // dictionary-code membership bits (IN / LIKE)
+	slots   []int32    // per-row group slots (grouped folds)
+	lg      []int32    // block-local → global dictionary code translation
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -105,20 +111,14 @@ func (s *scratch) grabWords(n int) []uint64 {
 	return s.words
 }
 
-func (s *scratch) grabInts(n int) []int64 {
-	if cap(s.ints) < n {
-		s.ints = make([]int64, n)
+// grow returns *buf resized to n entries (contents undefined), reusing its
+// capacity.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
 	}
-	s.ints = s.ints[:n]
-	return s.ints
-}
-
-func (s *scratch) grabFloats(n int) []float64 {
-	if cap(s.floats) < n {
-		s.floats = make([]float64, n)
-	}
-	s.floats = s.floats[:n]
-	return s.floats
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 func (s *scratch) grabOffs(n int) ([]int32, []int32) {

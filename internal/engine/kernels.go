@@ -19,7 +19,7 @@ import (
 // per-row closures:
 //
 //   - filter evaluation compiles to one dense bit mask per (alias, table)
-//     via predicate.FillMask, ANDed with the bitset of rows present in the
+//     via predicate.CompileMask, ANDed with the bitset of rows present in the
 //     candidate blocks;
 //   - join keys live as dictionary-code sets (relation.ColumnDict, cached
 //     on the Engine like the secondary-index state), so semantic reduction
@@ -286,30 +286,22 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 // blocks (blocks hold arbitrary row subsets, so the two are independent).
 //
 // With a compiled compressed scan, candidate blocks are read in encoded
-// form and each supported filter is evaluated directly on the encoded
-// pages (ScanBlock ORs block-local survivors into the alias's dense mask
-// and meters the read identically to ReadBlock); filters the compressed
-// compiler rejected fall back to FillMask over the base table, exactly the
-// decode path's computation. Either way the alias masks come out
-// bit-identical.
+// form and every filter is evaluated directly on the encoded pages of the
+// blocks read, never over the rest of the table (ScanBlock ORs block-local
+// survivors into the alias's dense mask and meters the read identically to
+// ReadBlock). Either way the alias masks come out bit-identical.
 func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.CompressedScan) error {
 	tbl := e.ds.Table(ts.table)
 	if tbl == nil {
 		return fmt.Errorf("engine: dataset missing table %q", ts.table)
 	}
 	n := tbl.NumRows()
-	inBuf := grabDense(n)
-	defer putDense(inBuf)
-	inBlocks := inBuf.dense()
 	if scan != nil {
-		supported := scan.Supported()
 		scanMasks := make([][]uint64, len(aliases))
 		for i, a := range aliases {
 			a.setBuf = grabDense(n)
 			a.set = a.setBuf.dense()
-			if supported[i] {
-				scanMasks[i] = a.set
-			}
+			scanMasks[i] = a.set
 		}
 		for _, id := range ts.candidates {
 			rows, err := scan.ScanBlock(id, scanMasks)
@@ -317,21 +309,17 @@ func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.Comp
 				return err
 			}
 			ts.blocksRead++
-			ts.rowsRead += len(rows)
-			for _, r := range rows {
-				inBlocks.Set(int(r))
-			}
+			ts.rowsRead += rows
 		}
-		for i, a := range aliases {
-			if !supported[i] {
-				predicate.FillMask(a.filter, tbl, a.set)
-				a.set.And(inBlocks)
-			}
+		for _, a := range aliases {
 			a.count = a.set.Count()
 		}
 		ts.read = true
 		return nil
 	}
+	inBuf := grabDense(n)
+	defer putDense(inBuf)
+	inBlocks := inBuf.dense()
 	for _, id := range ts.candidates {
 		b, err := e.store.ReadBlock(ts.table, id)
 		if err != nil {
@@ -346,7 +334,7 @@ func (e *Engine) scanKernel(ts *tableState, aliases []*vecAlias, scan block.Comp
 	for _, a := range aliases {
 		a.setBuf = grabDense(n)
 		a.set = a.setBuf.dense()
-		predicate.FillMask(a.filter, tbl, a.set)
+		predicate.CompileMask(a.filter, tbl, a.set)
 		a.set.And(inBlocks)
 		a.count = a.set.Count()
 	}

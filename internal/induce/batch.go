@@ -16,7 +16,7 @@ import (
 // at any parallelism — but batched (§3.2.1 step 1c at scale):
 //
 //   - Scan sharing: predicates are grouped by (source table, source cut);
-//     each distinct cut is compiled once via predicate.FillMask and its
+//     each distinct cut is compiled once via predicate.CompileMask and its
 //     match mask filled in one vectorized pass, then projected onto every
 //     stage-0 join column that needs it.
 //   - Prefix sharing: each distinct (source cut, hop prefix) is evaluated
@@ -210,7 +210,7 @@ func (g *scanGroup) run(ds *relation.Dataset) {
 		return
 	}
 	mask := make([]uint64, (t.NumRows()+63)>>6)
-	predicate.FillMask(g.cut, t, mask)
+	predicate.CompileMask(g.cut, t, mask)
 	for i, n := range g.nodes {
 		if cols[i] < 0 {
 			continue

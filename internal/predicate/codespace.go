@@ -1,7 +1,7 @@
 package predicate
 
 import (
-	"sort"
+	"fmt"
 
 	"mto/internal/value"
 )
@@ -12,12 +12,15 @@ import (
 // evaluate them directly against encoded column pages — comparing
 // dictionary codes or bit-packed words — without materializing values.
 //
-// CompileScan's support matrix is an exact mirror of CompileMask's: it
-// returns ok=false precisely when CompileMask would refuse (callers then
-// fall back to the decode-and-evaluate path), and the leaf semantics —
-// including null handling and NOT IN with a null literal — match
-// CompileMask bit for bit. Keeping the two in lockstep is what lets the
-// compressed scan path promise byte-identical results.
+// CompileScan and CompileMask are both total and kept in lockstep: every
+// predicate compiles, and each leaf's semantics — null handling, NOT IN
+// with a null literal, mixed int/float widening — match CompileMask bit
+// for bit. That is what lets the compressed scan path promise
+// byte-identical results with no per-predicate fallback. Both also match
+// EvalRow, with one exception shared by all bound evaluators: a float
+// column's NaN rows compare against a literal by IEEE rules (never equal),
+// where EvalRow's three-way compare calls NaN equal to everything. Column
+// comparisons and float IN lists follow EvalRow there too.
 type ScanNode interface {
 	scanNode()
 }
@@ -58,9 +61,10 @@ type ScanCmpStr struct {
 }
 
 // ScanInInt is col [NOT] IN over an int column. Set holds the int-kind
-// literals; Sorted is the same values ascending and distinct, for
-// merge-joins against sorted page dictionaries. HasNullLit records a NULL
-// literal: NOT IN with a NULL literal matches nothing.
+// literals plus the ints that widen to each float literal; Sorted is the
+// same values ascending and distinct, for merge-joins against sorted page
+// dictionaries. HasNullLit records a NULL literal: NOT IN with a NULL
+// literal matches nothing.
 type ScanInInt struct {
 	Column     string
 	Set        map[int64]struct{}
@@ -76,6 +80,29 @@ type ScanInStr struct {
 	Sorted     []string
 	Negate     bool
 	HasNullLit bool
+}
+
+// ScanInFloat is col [NOT] IN over a float column. Set holds the numeric
+// literals widened to float64, except NaN, which NaNLit records: under
+// EvalRow's three-way compare a NaN equals every number. Use Matches.
+type ScanInFloat struct {
+	Column     string
+	Set        map[float64]struct{}
+	NaNLit     bool
+	Negate     bool
+	HasNullLit bool
+}
+
+// ScanColCmp is a same-row column comparison, left op right, over two
+// comparable columns: int/int, float/float, string/string, or int↔float,
+// whose int side widens to float64 as in EvalRow. A null on either side
+// never matches.
+type ScanColCmp struct {
+	Left      string
+	LeftKind  value.Kind
+	Op        Op
+	Right     string
+	RightKind value.Kind
 }
 
 // ScanLike is col [NOT] LIKE over a string column, with the matcher
@@ -96,6 +123,8 @@ func (*ScanCmpFloat) scanNode() {}
 func (*ScanCmpStr) scanNode()   {}
 func (*ScanInInt) scanNode()    {}
 func (*ScanInStr) scanNode()    {}
+func (*ScanInFloat) scanNode()  {}
+func (*ScanColCmp) scanNode()   {}
 func (*ScanLike) scanNode()     {}
 
 // CompileScan compiles p for compressed-domain evaluation against a table
@@ -105,107 +134,80 @@ func (*ScanLike) scanNode()     {}
 // once per (query, table), so per-page evaluation only translates the
 // normalized literals into each page's code space.
 //
-// It reports ok=false exactly when CompileMask would: the caller must then
-// use the decode path for the whole predicate.
-func CompileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) (ScanNode, bool) {
+// It accepts every predicate. Leaves that can match nothing — a missing
+// column, a NULL or incomparable literal, incomparable column kinds —
+// compile to ScanConst(false), where CompileMask leaves the mask zero.
+func CompileScan(p Predicate, kindOf func(col string) (value.Kind, bool)) ScanNode {
 	switch q := p.(type) {
 	case *Comparison:
 		kind, ok := kindOf(q.Column)
 		if !ok {
-			return ScanConst(false), true // no such column: matches nothing
+			return ScanConst(false) // no such column: matches nothing
 		}
-		if kind == value.KindInt && q.Value.Kind() == value.KindInt {
-			return &ScanCmpInt{Column: q.Column, Op: q.Op, Lit: q.Value.Int()}, true
-		}
-		if kind == value.KindFloat && !q.Value.IsNull() &&
-			(q.Value.Kind() == value.KindFloat || q.Value.Kind() == value.KindInt) {
-			return &ScanCmpFloat{Column: q.Column, Op: q.Op, Lit: q.Value.AsFloat()}, true
-		}
-		if kind == value.KindString && q.Value.Kind() == value.KindString {
-			return &ScanCmpStr{Column: q.Column, Op: q.Op, Lit: q.Value.Str()}, true
-		}
-		return nil, false
-	case *InList:
-		kind, ok := kindOf(q.Column)
-		if !ok {
-			return ScanConst(false), true
+		if lowered, ok := lowerComparison(q, kind); ok {
+			return CompileScan(lowered, kindOf)
 		}
 		switch kind {
 		case value.KindInt:
-			node := &ScanInInt{
-				Column: q.Column,
-				Set:    make(map[int64]struct{}, len(q.Values)),
-				Negate: q.Negate_,
-			}
-			for _, v := range q.Values {
-				switch {
-				case v.IsNull():
-					node.HasNullLit = true
-				case v.Kind() == value.KindInt:
-					node.Set[v.Int()] = struct{}{}
-				}
-			}
-			node.Sorted = make([]int64, 0, len(node.Set))
-			for v := range node.Set {
-				node.Sorted = append(node.Sorted, v)
-			}
-			sort.Slice(node.Sorted, func(i, j int) bool { return node.Sorted[i] < node.Sorted[j] })
-			return node, true
-		case value.KindString:
-			node := &ScanInStr{
-				Column: q.Column,
-				Set:    make(map[string]struct{}, len(q.Values)),
-				Negate: q.Negate_,
-			}
-			for _, v := range q.Values {
-				switch {
-				case v.IsNull():
-					node.HasNullLit = true
-				case v.Kind() == value.KindString:
-					node.Set[v.Str()] = struct{}{}
-				}
-			}
-			node.Sorted = make([]string, 0, len(node.Set))
-			for v := range node.Set {
-				node.Sorted = append(node.Sorted, v)
-			}
-			sort.Strings(node.Sorted)
-			return node, true
+			return &ScanCmpInt{Column: q.Column, Op: q.Op, Lit: q.Value.Int()}
+		case value.KindFloat:
+			return &ScanCmpFloat{Column: q.Column, Op: q.Op, Lit: q.Value.AsFloat()}
 		}
-		return nil, false
+		return &ScanCmpStr{Column: q.Column, Op: q.Op, Lit: q.Value.Str()}
+	case *ColumnComparison:
+		lk, lok := kindOf(q.Left)
+		rk, rok := kindOf(q.Right)
+		if !lok || !rok || !comparableKinds(lk, rk) {
+			return ScanConst(false)
+		}
+		return &ScanColCmp{Left: q.Left, LeftKind: lk, Op: q.Op, Right: q.Right, RightKind: rk}
+	case *InList:
+		kind, ok := kindOf(q.Column)
+		if !ok {
+			return ScanConst(false)
+		}
+		switch kind {
+		case value.KindInt:
+			node, lowered := newIntIn(q)
+			if lowered != nil {
+				return CompileScan(lowered, kindOf)
+			}
+			return node
+		case value.KindFloat:
+			return newFloatIn(q)
+		}
+		return newStrIn(q)
 	case *Like:
 		kind, ok := kindOf(q.Column)
 		if !ok || kind != value.KindString {
-			return ScanConst(false), true // missing or non-string column: matches nothing
+			return ScanConst(false) // missing or non-string column: matches nothing
 		}
 		return &ScanLike{
 			Column:  q.Column,
 			Pattern: q.Pattern,
 			Match:   likeMatcher(q.Pattern),
 			Negate:  q.Negate_,
-		}, true
+		}
 	case *And:
+		if len(q.Children) == 0 {
+			return ScanConst(true)
+		}
 		node := &ScanAnd{Children: make([]ScanNode, len(q.Children))}
 		for i, c := range q.Children {
-			child, ok := CompileScan(c, kindOf)
-			if !ok {
-				return nil, false
-			}
-			node.Children[i] = child
+			node.Children[i] = CompileScan(c, kindOf)
 		}
-		return node, true
+		return node
 	case *Or:
+		if len(q.Children) == 0 {
+			return ScanConst(false)
+		}
 		node := &ScanOr{Children: make([]ScanNode, len(q.Children))}
 		for i, c := range q.Children {
-			child, ok := CompileScan(c, kindOf)
-			if !ok {
-				return nil, false
-			}
-			node.Children[i] = child
+			node.Children[i] = CompileScan(c, kindOf)
 		}
-		return node, true
+		return node
 	case Const:
-		return ScanConst(bool(q)), true
+		return ScanConst(bool(q))
 	}
-	return nil, false // ColumnComparison and anything unknown: decode path
+	panic(fmt.Sprintf("predicate: CompileScan: unknown predicate type %T", p))
 }

@@ -1,6 +1,8 @@
 package predicate
 
 import (
+	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -18,111 +20,131 @@ func kindOfTable(tab *relation.Table) func(string) (value.Kind, bool) {
 	}
 }
 
-// TestCompileScanSupportMatchesCompileMask pins CompileScan's support
-// matrix to CompileMask's: the compressed path must accept exactly the
-// shapes the mask path accepts, so the engine's fallback decision is the
-// same no matter which path runs.
+// TestCompileScanSupportMatchesCompileMask pins that the compressed and
+// bulk compilers accept the same shapes — every one, including column
+// comparisons, float IN lists, mixed-kind and incomparable literals and
+// missing columns — so no shape falls back to a per-row pass. CompileMask
+// must agree with EvalRow on each, and where CompileScan folds a shape to a
+// constant the mask must be that constant.
 func TestCompileScanSupportMatchesCompileMask(t *testing.T) {
 	tab := testTable(t)
 	kindOf := kindOfTable(tab)
+	colCmp := &ColumnComparison{Left: "x", Op: Lt, Right: "y"}
 	preds := []Predicate{
-		// Supported comparisons, one per op and column kind.
+		// One comparison per column kind, and kind mismatches.
 		NewComparison("x", Lt, value.Int(15)),
-		NewComparison("x", Eq, value.Int(25)),
-		NewComparison("f", Lt, value.Float(2.0)),
 		NewComparison("f", Ge, value.Int(1)),
-		NewComparison("s", Eq, value.String("banana")),
 		NewComparison("s", Lt, value.String("b")),
 		NewComparison("missing", Lt, value.Int(1)),
-		// Kind mismatches: unsupported in both paths.
-		NewComparison("x", Lt, value.Float(1.5)),
+		NewComparison("x", Lt, value.Float(15.5)),
+		NewComparison("x", Eq, value.Float(15)),
 		NewComparison("x", Eq, value.String("five")),
 		NewComparison("s", Eq, value.Int(5)),
 		NewComparison("f", Eq, value.String("one")),
 		NewComparison("f", Eq, value.Null),
-		// IN lists.
-		NewIn("x", value.Int(5), value.Int(25)),
-		NewNotIn("x", value.Int(5), value.Int(25)),
+		// IN lists over every column kind.
 		NewNotIn("x", value.Int(5), value.Null),
+		NewIn("x", value.Float(5), value.Float(15.5)),
+		NewNotIn("x", value.Float(25)),
+		NewIn("f", value.Float(1.5), value.Int(0)),
+		NewNotIn("f", value.Float(1.5)),
 		NewIn("s", value.String("apple"), value.String("apricot")),
-		NewNotIn("s", value.String("apple")),
-		NewIn("x", value.Float(5.0), value.Int(25)), // float lit on int col: skipped, still supported
-		NewIn("f", value.Float(1.5)),                // float column IN: unsupported in both
 		NewIn("missing", value.Int(1)),
-		// LIKE.
-		NewLike("s", "ap%"),
+		// LIKE on string, non-string and missing columns.
 		NewNotLike("s", "%na"),
-		NewLike("x", "a%"),       // non-string column: matches nothing, supported
-		NewLike("missing", "a%"), // missing column: matches nothing, supported
-		// Composites.
-		NewAnd(NewComparison("x", Gt, value.Int(5)), NewComparison("y", Eq, value.Int(10))),
-		NewOr(NewComparison("x", Eq, value.Int(5)), NewLike("s", "%e")),
+		NewLike("x", "a%"),
+		NewLike("missing", "a%"),
+		// Column comparisons over every kind pairing.
+		colCmp,
+		&ColumnComparison{Left: "f", Op: Ge, Right: "x"},
+		&ColumnComparison{Left: "s", Op: Lt, Right: "s"},
+		&ColumnComparison{Left: "s", Op: Eq, Right: "x"},
+		&ColumnComparison{Left: "nope", Op: Lt, Right: "x"},
+		// Composites, including the empty ones.
+		NewAnd(NewComparison("x", Gt, value.Int(5)), colCmp),
+		NewOr(NewComparison("x", Gt, value.Int(5)), colCmp),
 		NewAnd(NewComparison("x", Gt, value.Int(5)), NewComparison("x", Lt, value.Float(1.5))),
-		NewOr(NewComparison("x", Eq, value.Int(5)), &ColumnComparison{Left: "x", Op: Lt, Right: "y"}),
-		&ColumnComparison{Left: "x", Op: Lt, Right: "y"},
+		NewOr(NewComparison("x", Eq, value.Int(5)), NewLike("s", "%e")),
+		&And{},
+		&Or{},
 		True(),
 		False(),
 	}
 	for _, p := range preds {
-		mask := make([]uint64, (tab.NumRows()+63)/64)
-		maskOK := CompileMask(p, tab, mask)
-		_, scanOK := CompileScan(p, kindOf)
-		if maskOK != scanOK {
-			t.Errorf("%s: CompileMask supported=%v but CompileScan supported=%v", p, maskOK, scanOK)
+		node := CompileScan(p, kindOf)
+		if node == nil {
+			t.Errorf("%s: CompileScan returned no node", p)
+		}
+		got := maskRows(t, p, tab)
+		for r := 0; r < tab.NumRows(); r++ {
+			if want := p.EvalRow(tab, r); got[r] != want {
+				t.Errorf("%s: row %d mask=%v EvalRow=%v", p, r, got[r], want)
+			}
+			if c, ok := node.(ScanConst); ok && got[r] != bool(c) {
+				t.Errorf("%s: CompileScan folded to %v but row %d mask=%v", p, bool(c), r, got[r])
+			}
 		}
 	}
 }
 
 // TestCompileScanNormalization checks the literal pre-processing the
-// storage engine relies on: sorted distinct IN lists, null-literal
-// flags, matcher specialization, and missing-column collapse.
+// storage engine relies on: sorted distinct IN lists (float literals on an
+// int column widened to the ints equal to them), null-literal flags,
+// matcher specialization, column-comparison kinds, and the constant
+// folding of leaves that match nothing.
 func TestCompileScanNormalization(t *testing.T) {
 	tab := testTable(t)
 	kindOf := kindOfTable(tab)
 
-	node, ok := CompileScan(NewNotIn("x", value.Int(9), value.Int(3), value.Int(9), value.Null, value.Float(7)), kindOf)
-	if !ok {
-		t.Fatal("int NOT IN refused")
-	}
+	node := CompileScan(NewNotIn("x", value.Int(9), value.Int(3), value.Int(9), value.Null, value.Float(7), value.Float(7.5)), kindOf)
 	in := node.(*ScanInInt)
 	if !in.Negate || !in.HasNullLit {
 		t.Errorf("NOT IN flags: negate=%v hasNullLit=%v", in.Negate, in.HasNullLit)
 	}
-	if want := []int64{3, 9}; len(in.Sorted) != 2 || in.Sorted[0] != want[0] || in.Sorted[1] != want[1] {
-		t.Errorf("sorted int lits = %v, want %v", in.Sorted, want)
-	}
-	if _, found := in.Set[7]; found {
-		t.Error("float literal leaked into int IN set")
+	if want := []int64{3, 7, 9}; !reflect.DeepEqual(in.Sorted, want) {
+		t.Errorf("sorted int lits = %v, want %v (7.0 equals 7, 7.5 equals no int)", in.Sorted, want)
 	}
 
-	node, ok = CompileScan(NewIn("s", value.String("pear"), value.String("fig"), value.String("pear")), kindOf)
-	if !ok {
-		t.Fatal("string IN refused")
-	}
+	node = CompileScan(NewIn("s", value.String("pear"), value.String("fig"), value.String("pear")), kindOf)
 	ins := node.(*ScanInStr)
 	if !sort.StringsAreSorted(ins.Sorted) || len(ins.Sorted) != 2 {
 		t.Errorf("string lits not sorted-distinct: %v", ins.Sorted)
 	}
 
-	node, ok = CompileScan(NewLike("s", "ap%"), kindOf)
-	if !ok {
-		t.Fatal("LIKE refused")
+	inf := CompileScan(NewIn("f", value.Int(2), value.Float(1.5), value.Float(math.NaN()), value.String("x")), kindOf).(*ScanInFloat)
+	if len(inf.Set) != 2 || !inf.NaNLit || inf.Negate || inf.HasNullLit {
+		t.Errorf("float IN normalized to %+v", inf)
 	}
-	lk := node.(*ScanLike)
+
+	lk := CompileScan(NewLike("s", "ap%"), kindOf).(*ScanLike)
 	if !lk.Match("apple") || lk.Match("pear") {
 		t.Error("LIKE matcher not specialized correctly")
 	}
 
+	cc := CompileScan(&ColumnComparison{Left: "f", Op: Lt, Right: "x"}, kindOf).(*ScanColCmp)
+	if cc.LeftKind != value.KindFloat || cc.RightKind != value.KindInt || cc.Op != Lt {
+		t.Errorf("column comparison normalized to %+v", cc)
+	}
+
+	// An int column against a fractional float literal becomes an int
+	// comparison: x < 15.5 is x < 16.
+	if got, ok := CompileScan(NewComparison("x", Lt, value.Float(15.5)), kindOf).(*ScanCmpInt); !ok || got.Op != Lt || got.Lit != 16 {
+		t.Errorf("x < 15.5 normalized to %#v", got)
+	}
+
 	for _, p := range []Predicate{
 		NewComparison("missing", Lt, value.Int(1)),
+		NewComparison("x", Eq, value.String("five")),
+		NewComparison("x", Eq, value.Float(15.5)),
+		NewComparison("f", Lt, value.Null),
 		NewIn("missing", value.Int(1)),
+		NewNotIn("x", value.Float(math.NaN())),
 		NewLike("missing", "a%"),
 		NewLike("x", "a%"),
+		&ColumnComparison{Left: "missing", Op: Lt, Right: "x"},
+		&ColumnComparison{Left: "s", Op: Lt, Right: "x"},
 	} {
-		node, ok := CompileScan(p, kindOf)
-		if !ok {
-			t.Fatalf("%s: refused", p)
-		}
+		node := CompileScan(p, kindOf)
 		if c, isConst := node.(ScanConst); !isConst || bool(c) {
 			t.Errorf("%s: want ScanConst(false), got %#v", p, node)
 		}

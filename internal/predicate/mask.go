@@ -1,86 +1,92 @@
 package predicate
 
 import (
+	"fmt"
+
 	"mto/internal/relation"
 	"mto/internal/value"
 )
 
 // CompileMask evaluates p over every row of t at once, setting bit r of
-// mask (stored in mask[r>>6]) for each matching row. It covers the same
-// fast shapes as Compile — comparisons and IN lists over int, float, and
-// string columns, plus AND/OR over such children — but dispatches the
-// operator once outside the row loop, so bulk membership precompute runs a
-// tight per-type loop instead of a closure call per row. mask must be
-// zeroed and hold at least (t.NumRows()+63)/64 words.
+// mask (stored in mask[r>>6]) for each matching row: bit r is set iff
+// p.EvalRow(t, r) holds, save for the NaN exception documented on
+// ScanNode. Every predicate compiles. The operator dispatches
+// once outside the row loop, so each leaf runs a tight per-type loop
+// instead of a closure call per row; column comparisons compare the two
+// column vectors directly. mask must be zeroed and hold at least
+// (t.NumRows()+63)/64 words.
 //
-// It reports false, leaving mask untouched, when p needs the generic
-// per-row path (callers then fall back to Compile).
-func CompileMask(p Predicate, t *relation.Table, mask []uint64) bool {
-	n := t.NumRows()
+// Its leaves mirror CompileScan's: the compressed scan path evaluates the
+// same normalized literals over encoded pages.
+func CompileMask(p Predicate, t *relation.Table, mask []uint64) {
 	switch q := p.(type) {
 	case *Comparison:
 		ci, ok := t.Schema().ColumnIndex(q.Column)
 		if !ok {
-			return true // no such column: matches nothing, mask stays zero
+			return // no such column: matches nothing, mask stays zero
 		}
-		col := t.Schema().Column(ci)
-		if col.Type == value.KindInt && q.Value.Kind() == value.KindInt {
+		kind := t.Schema().Column(ci).Type
+		if lowered, ok := lowerComparison(q, kind); ok {
+			CompileMask(lowered, t, mask)
+			return
+		}
+		switch kind {
+		case value.KindInt:
 			maskCompare(t.Ints(ci), q.Op, q.Value.Int(), mask)
-			clearNulls(t.Nulls(ci), mask)
-			return true
-		}
-		if col.Type == value.KindFloat && !q.Value.IsNull() &&
-			(q.Value.Kind() == value.KindFloat || q.Value.Kind() == value.KindInt) {
+		case value.KindFloat:
 			maskCompare(t.Floats(ci), q.Op, q.Value.AsFloat(), mask)
-			clearNulls(t.Nulls(ci), mask)
-			return true
-		}
-		if col.Type == value.KindString && q.Value.Kind() == value.KindString {
+		default:
 			maskCompare(t.Strings(ci), q.Op, q.Value.Str(), mask)
-			clearNulls(t.Nulls(ci), mask)
-			return true
 		}
-		return false
+		clearNulls(t.Nulls(ci), mask)
+	case *ColumnComparison:
+		li, lok := t.Schema().ColumnIndex(q.Left)
+		ri, rok := t.Schema().ColumnIndex(q.Right)
+		if !lok || !rok {
+			return
+		}
+		lk, rk := t.Schema().Column(li).Type, t.Schema().Column(ri).Type
+		switch {
+		case lk == value.KindInt && rk == value.KindInt:
+			CompareColumns(t.Ints(li), t.Ints(ri), q.Op, mask)
+		case lk == value.KindString && rk == value.KindString:
+			CompareColumns(t.Strings(li), t.Strings(ri), q.Op, mask)
+		case numericKind(lk) && numericKind(rk):
+			compareWidened(t, li, ri, q.Op, mask)
+		default:
+			return // incomparable kinds: matches nothing
+		}
+		clearNulls(t.Nulls(li), mask)
+		clearNulls(t.Nulls(ri), mask)
 	case *InList:
 		ci, ok := t.Schema().ColumnIndex(q.Column)
 		if !ok {
-			return true
+			return
 		}
 		switch t.Schema().Column(ci).Type {
 		case value.KindInt:
-			set := make(map[int64]struct{}, len(q.Values))
-			hasNullLit := false
-			for _, v := range q.Values {
-				switch {
-				case v.IsNull():
-					hasNullLit = true
-				case v.Kind() == value.KindInt:
-					set[v.Int()] = struct{}{}
+			node, lowered := newIntIn(q)
+			if lowered != nil {
+				CompileMask(lowered, t, mask)
+				return
+			}
+			maskInList(t.Ints(ci), node.Set, node.Negate, node.HasNullLit, mask)
+		case value.KindFloat:
+			node := newFloatIn(q)
+			for r, v := range t.Floats(ci) {
+				if node.Matches(v) {
+					mask[r>>6] |= 1 << (uint(r) & 63)
 				}
 			}
-			maskInList(t.Ints(ci), set, q.Negate_, hasNullLit, mask)
-			clearNulls(t.Nulls(ci), mask)
-			return true
-		case value.KindString:
-			set := make(map[string]struct{}, len(q.Values))
-			hasNullLit := false
-			for _, v := range q.Values {
-				switch {
-				case v.IsNull():
-					hasNullLit = true
-				case v.Kind() == value.KindString:
-					set[v.Str()] = struct{}{}
-				}
-			}
-			maskInList(t.Strings(ci), set, q.Negate_, hasNullLit, mask)
-			clearNulls(t.Nulls(ci), mask)
-			return true
+		default:
+			node := newStrIn(q)
+			maskInList(t.Strings(ci), node.Set, node.Negate, node.HasNullLit, mask)
 		}
-		return false
+		clearNulls(t.Nulls(ci), mask)
 	case *Like:
 		ci, ok := t.Schema().ColumnIndex(q.Column)
 		if !ok || t.Schema().Column(ci).Type != value.KindString {
-			return true // missing or non-string column: LIKE matches nothing
+			return // missing or non-string column: LIKE matches nothing
 		}
 		match := likeMatcher(q.Pattern)
 		neg := q.Negate_
@@ -92,82 +98,69 @@ func CompileMask(p Predicate, t *relation.Table, mask []uint64) bool {
 		// Null rows never match, not even NOT LIKE (SQL three-valued logic,
 		// mirroring EvalRow).
 		clearNulls(t.Nulls(ci), mask)
-		return true
 	case *And:
+		if len(q.Children) == 0 {
+			setAll(mask, t.NumRows()) // the empty conjunction is TRUE
+			return
+		}
+		CompileMask(q.Children[0], t, mask)
 		scratch := make([]uint64, len(mask))
-		for i, c := range q.Children {
-			if i == 0 {
-				if !CompileMask(c, t, mask) {
-					return false
-				}
-				continue
-			}
-			for w := range scratch {
-				scratch[w] = 0
-			}
-			if !CompileMask(c, t, scratch) {
-				// Mask may hold partial conjunct state; reset before failing.
-				for w := range mask {
-					mask[w] = 0
-				}
-				return false
-			}
+		for _, c := range q.Children[1:] {
+			clear(scratch)
+			CompileMask(c, t, scratch)
 			for w := range mask {
 				mask[w] &= scratch[w]
 			}
 		}
-		return true
 	case *Or:
 		// Each child must be evaluated into a clean mask: children AND in
 		// conjuncts and clear null-row bits, and either would corrupt bits
 		// already accumulated by earlier disjuncts if they shared the mask.
+		if len(q.Children) == 0 {
+			return // the empty disjunction is FALSE
+		}
+		CompileMask(q.Children[0], t, mask)
 		scratch := make([]uint64, len(mask))
-		for i, c := range q.Children {
-			if i == 0 {
-				if !CompileMask(c, t, mask) {
-					return false
-				}
-				continue
-			}
-			for w := range scratch {
-				scratch[w] = 0
-			}
-			if !CompileMask(c, t, scratch) {
-				for w := range mask {
-					mask[w] = 0
-				}
-				return false
-			}
+		for _, c := range q.Children[1:] {
+			clear(scratch)
+			CompileMask(c, t, scratch)
 			for w := range mask {
 				mask[w] |= scratch[w]
 			}
 		}
-		return true
 	case Const:
 		if bool(q) {
-			setAll(mask, n)
+			setAll(mask, t.NumRows())
 		}
-		return true
+	default:
+		panic(fmt.Sprintf("predicate: CompileMask: unknown predicate type %T", p))
 	}
-	return false
 }
 
-// FillMask computes p's full-table match mask: bit r of mask is set iff
-// row r of t satisfies p. Fast shapes use CompileMask's branchless loops;
-// anything else (LIKE, column-column comparisons, float IN lists) falls
-// back to the compiled per-row evaluator, so every predicate is supported.
-// mask must be zeroed and hold at least (t.NumRows()+63)/64 words.
-func FillMask(p Predicate, t *relation.Table, mask []uint64) {
-	if CompileMask(p, t, mask) {
-		return
-	}
-	fn := Compile(p, t)
+// compareWidened is CompareColumns over two numeric columns compared as
+// float64: an int side widens as in EvalRow, a chunk at a time so no
+// table-sized copy is made.
+func compareWidened(t *relation.Table, li, ri int, op Op, mask []uint64) {
+	const chunk = 1024 // a multiple of 64, so chunks start on mask words
+	var lbuf, rbuf [chunk]float64
 	n := t.NumRows()
-	for r := 0; r < n; r++ {
-		if fn(r) {
-			mask[r>>6] |= 1 << (uint(r) & 63)
-		}
+	for off := 0; off < n; off += chunk {
+		end := min(off+chunk, n)
+		CompareColumns(widenChunk(t, li, off, end, lbuf[:]), widenChunk(t, ri, off, end, rbuf[:]), op, mask[off>>6:])
 	}
+}
+
+// widenChunk returns rows [off, end) of numeric column ci as float64s,
+// converting an int column into buf.
+func widenChunk(t *relation.Table, ci, off, end int, buf []float64) []float64 {
+	if t.Schema().Column(ci).Type == value.KindFloat {
+		return t.Floats(ci)[off:end]
+	}
+	out := buf[:end-off]
+	for i, v := range t.Ints(ci)[off:end] {
+		out[i] = float64(v)
+	}
+	return out
 }
 
 // maskCompare sets the bit of every row whose value satisfies (v op lit).

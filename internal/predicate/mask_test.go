@@ -9,18 +9,16 @@ import (
 )
 
 // maskRows runs CompileMask and decodes the bitmask into per-row booleans.
-func maskRows(t *testing.T, p Predicate, tab *relation.Table) ([]bool, bool) {
+func maskRows(t *testing.T, p Predicate, tab *relation.Table) []bool {
 	t.Helper()
 	n := tab.NumRows()
 	mask := make([]uint64, (n+63)/64)
-	if !CompileMask(p, tab, mask) {
-		return nil, false
-	}
+	CompileMask(p, tab, mask)
 	out := make([]bool, n)
 	for r := 0; r < n; r++ {
 		out[r] = mask[r>>6]&(1<<(uint(r)&63)) != 0
 	}
-	return out, true
+	return out
 }
 
 // TestCompileMaskMatchesCompile pins the bulk path to the per-row compiled
@@ -41,6 +39,8 @@ func TestCompileMaskMatchesCompile(t *testing.T) {
 		NewIn("x", value.Int(5), value.Int(25)),
 		NewNotIn("x", value.Int(5), value.Int(25)),
 		NewNotIn("x", value.Int(5), value.Null),
+		NewIn("x", value.Float(5), value.Float(15.5)), // 5.0 equals x = 5
+		NewNotIn("x", value.Float(25)),
 		NewIn("s", value.String("apple"), value.String("apricot")),
 		NewNotIn("s", value.String("apple")),
 		NewAnd(NewComparison("x", Gt, value.Int(5)), NewComparison("y", Eq, value.Int(10))),
@@ -60,11 +60,7 @@ func TestCompileMaskMatchesCompile(t *testing.T) {
 		NewOr(NewComparison("x", Eq, value.Int(5)), NewLike("s", "%e")),
 	}
 	for _, p := range preds {
-		got, ok := maskRows(t, p, tab)
-		if !ok {
-			t.Errorf("%s: CompileMask refused a supported shape", p)
-			continue
-		}
+		got := maskRows(t, p, tab)
 		fn := Compile(p, tab)
 		for r := 0; r < tab.NumRows(); r++ {
 			if want := fn(r); got[r] != want {
@@ -98,11 +94,7 @@ func TestCompileMaskOrChildIsolation(t *testing.T) {
 				NewAnd(NewComparison("y", Eq, value.Int(10)), NewComparison("s", Eq, value.String("banana"))))),
 	}
 	for _, p := range preds {
-		got, ok := maskRows(t, p, tab)
-		if !ok {
-			t.Errorf("%s: CompileMask refused a supported shape", p)
-			continue
-		}
+		got := maskRows(t, p, tab)
 		for r := 0; r < tab.NumRows(); r++ {
 			if want := p.EvalRow(tab, r); got[r] != want {
 				t.Errorf("%s: row %d mask=%v EvalRow=%v", p, r, got[r], want)
@@ -111,29 +103,29 @@ func TestCompileMaskOrChildIsolation(t *testing.T) {
 	}
 }
 
-// TestCompileMaskFallback verifies unsupported shapes refuse cleanly and
-// leave the mask untouched.
+// TestCompileMaskFallback covers the shapes that once fell back to the
+// per-row path — column comparisons, alone and under And/Or — and pins that
+// the bulk path now evaluates them in place, agreeing with EvalRow.
 func TestCompileMaskFallback(t *testing.T) {
 	tab := testTable(t)
-	unsupported := []Predicate{
-		NewColumnComparisonPred(t),
-		NewAnd(NewComparison("x", Gt, value.Int(5)), NewColumnComparisonPred(t)),
-		NewOr(NewComparison("x", Gt, value.Int(5)), NewColumnComparisonPred(t)),
+	colCmp := &ColumnComparison{Left: "x", Op: Lt, Right: "y"}
+	preds := []Predicate{
+		colCmp,
+		NewAnd(NewComparison("x", Gt, value.Int(5)), colCmp),
+		NewOr(NewComparison("x", Gt, value.Int(5)), colCmp),
+		&ColumnComparison{Left: "f", Op: Ge, Right: "x"},
+		&ColumnComparison{Left: "s", Op: Lt, Right: "s"},
+		&ColumnComparison{Left: "s", Op: Eq, Right: "x"},
+		&ColumnComparison{Left: "nope", Op: Lt, Right: "x"},
 	}
-	for _, p := range unsupported {
-		mask := make([]uint64, 1)
-		if CompileMask(p, tab, mask) {
-			t.Errorf("%s: expected fallback", p)
-		}
-		if mask[0] != 0 {
-			t.Errorf("%s: fallback left mask dirty: %x", p, mask[0])
+	for _, p := range preds {
+		got := maskRows(t, p, tab)
+		for r := 0; r < tab.NumRows(); r++ {
+			if want := p.EvalRow(tab, r); got[r] != want {
+				t.Errorf("%s: row %d mask=%v EvalRow=%v", p, r, got[r], want)
+			}
 		}
 	}
-}
-
-func NewColumnComparisonPred(t *testing.T) Predicate {
-	t.Helper()
-	return &ColumnComparison{Left: "x", Op: Lt, Right: "y"}
 }
 
 // TestCompileMaskLargeRandom cross-checks the branchless word loops against
@@ -156,10 +148,7 @@ func TestCompileMaskLargeRandom(t *testing.T) {
 		NewComparison("v", Ge, value.Int(93)),
 		NewIn("v", value.Int(1), value.Int(2), value.Int(3)),
 	} {
-		got, ok := maskRows(t, p, tab)
-		if !ok {
-			t.Fatalf("%s: refused", p)
-		}
+		got := maskRows(t, p, tab)
 		fn := Compile(p, tab)
 		for r := 0; r < n; r++ {
 			if want := fn(r); got[r] != want {

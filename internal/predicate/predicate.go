@@ -136,6 +136,17 @@ type Predicate interface {
 	fmt.Stringer
 }
 
+// valueAt is row's value in the named column, or NULL when t has no such
+// column — so a leaf over a missing column matches nothing, the same
+// answer the bound evaluators give.
+func valueAt(t *relation.Table, row int, col string) value.Value {
+	ci, ok := t.Schema().ColumnIndex(col)
+	if !ok {
+		return value.Null
+	}
+	return t.Value(row, ci)
+}
+
 // Comparison compares a column against a literal: col op value.
 type Comparison struct {
 	Column string
@@ -150,7 +161,7 @@ func NewComparison(col string, op Op, v value.Value) *Comparison {
 
 // EvalRow implements Predicate.
 func (c *Comparison) EvalRow(t *relation.Table, row int) bool {
-	v := t.ValueByName(row, c.Column)
+	v := valueAt(t, row, c.Column)
 	if v.IsNull() || c.Value.IsNull() {
 		return false
 	}
@@ -183,8 +194,8 @@ type ColumnComparison struct {
 
 // EvalRow implements Predicate.
 func (c *ColumnComparison) EvalRow(t *relation.Table, row int) bool {
-	l := t.ValueByName(row, c.Left)
-	r := t.ValueByName(row, c.Right)
+	l := valueAt(t, row, c.Left)
+	r := valueAt(t, row, c.Right)
 	if l.IsNull() || r.IsNull() || !l.Comparable(r) {
 		return false
 	}
@@ -226,7 +237,7 @@ func NewNotIn(col string, vals ...value.Value) *InList {
 
 // EvalRow implements Predicate.
 func (p *InList) EvalRow(t *relation.Table, row int) bool {
-	v := t.ValueByName(row, p.Column)
+	v := valueAt(t, row, p.Column)
 	if v.IsNull() {
 		return false
 	}
@@ -288,7 +299,7 @@ func NewNotLike(col, pattern string) *Like {
 
 // EvalRow implements Predicate.
 func (p *Like) EvalRow(t *relation.Table, row int) bool {
-	v := t.ValueByName(row, p.Column)
+	v := valueAt(t, row, p.Column)
 	if v.IsNull() || v.Kind() != value.KindString {
 		return false
 	}

@@ -273,9 +273,9 @@ func TestCompileEdgeCases(t *testing.T) {
 	if missingIn(0) {
 		t.Error("compiled missing-column IN returned true")
 	}
-	// Mixed-type comparison falls back to the generic path.
+	// Mixed-type comparison: the int column compares as float64.
 	wantRows(t, NewComparison("x", Lt, value.Float(10.5)), tab, true, false, false, false)
-	// Float IN falls back to the generic path.
+	// Float IN over a float column.
 	wantRows(t, NewIn("f", value.Float(1.5)), tab, true, false, false, false)
 	// String IN with a NOT and a null literal.
 	wantRows(t, NewNotIn("s", value.String("apple"), value.Null), tab, false, false, false, false)

@@ -156,9 +156,9 @@ func (b *builder) acquire() bool {
 func (b *builder) release() { b.spare <- struct{}{} }
 
 // maskCompiler is an optional Cut fast path: fill a zeroed per-row bitmask
-// in one bulk pass, reporting false to fall back to CompileRecord.
+// in one bulk pass instead of calling CompileRecord's evaluator per row.
 type maskCompiler interface {
-	CompileMask(t *relation.Table, mask []uint64) bool
+	CompileMask(t *relation.Table, mask []uint64)
 }
 
 // routePreparer is an optional Cut fast path: bind a node region once and
@@ -175,7 +175,8 @@ func (b *builder) precomputeMatches(tbl *relation.Table) {
 	b.matches = make([]bitset, len(b.cuts))
 	one := func(i int) {
 		m := newBitset(n)
-		if mc, ok := b.cuts[i].(maskCompiler); ok && mc.CompileMask(tbl, m) {
+		if mc, ok := b.cuts[i].(maskCompiler); ok {
+			mc.CompileMask(tbl, m)
 			b.matches[i] = m
 			return
 		}

@@ -67,10 +67,10 @@ func (c *SimpleCut) CompileRecord(t *relation.Table) func(row int) bool {
 }
 
 // CompileMask is the bulk membership fast path (see maskCompiler): it fills
-// mask with the predicate's matches in one vectorized pass when the
-// predicate shape allows, instead of a closure call per row.
-func (c *SimpleCut) CompileMask(t *relation.Table, mask []uint64) bool {
-	return predicate.CompileMask(c.Pred, t, mask)
+// mask with the predicate's matches in one vectorized pass instead of a
+// closure call per row.
+func (c *SimpleCut) CompileMask(t *relation.Table, mask []uint64) {
+	predicate.CompileMask(c.Pred, t, mask)
 }
 
 // Route implements Cut: a child is visited unless the query's filter is

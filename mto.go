@@ -444,17 +444,22 @@ func (s *System) ReorganizeAsync(observed *Workload, opts ReorgOptions) (<-chan 
 	shadowOpt := s.opt.Clone()
 	shadowDesign := s.design.Clone()
 	s.mu.RUnlock()
+	// finish clears the in-progress flag before delivering the result, so
+	// a caller that has received it can mutate the system straight away.
+	finish := func(r AsyncReorg) {
+		s.reorgActive.Store(false)
+		done <- r
+	}
 	go func() {
-		defer s.reorgActive.Store(false)
 		shadowStore, err := s.newShadow()
 		if err != nil {
-			done <- AsyncReorg{Err: err}
+			finish(AsyncReorg{Err: err})
 			return
 		}
 		report, err := s.reorganizeLocked(shadowOpt, shadowDesign, shadowStore, observed, opts, false)
 		if err != nil {
 			closeBackend(shadowStore)
-			done <- AsyncReorg{Report: report, Err: err}
+			finish(AsyncReorg{Report: report, Err: err})
 			return
 		}
 		// Swap the finished layout in. The swap excludes in-flight queries
@@ -467,7 +472,7 @@ func (s *System) ReorganizeAsync(observed *Workload, opts ReorgOptions) (<-chan 
 		s.resetEngine()
 		s.mu.Unlock()
 		closeBackend(old)
-		done <- AsyncReorg{Report: report}
+		finish(AsyncReorg{Report: report})
 	}()
 	return done, nil
 }

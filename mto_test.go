@@ -271,6 +271,7 @@ func TestReorganizeAsync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	liveStore := sys.store
 	done, err := sys.ReorganizeAsync(shifted, ReorgOptions{ExpectedQueries: 1e6})
 	if err != nil {
 		t.Fatal(err)
@@ -280,10 +281,14 @@ func TestReorganizeAsync(t *testing.T) {
 	if _, err := sys.Execute(w.Queries[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.ReorganizeAsync(shifted, ReorgOptions{ExpectedQueries: 10}); err == nil {
+	second, err := sys.ReorganizeAsync(shifted, ReorgOptions{ExpectedQueries: 10})
+	if err == nil {
 		// The first reorg may already have finished; only fail when it is
-		// provably still active.
-		if sys.reorgActive.Load() {
+		// provably still active, i.e. has not yet swapped its layout in.
+		sys.mu.RLock()
+		swapped := sys.store != liveStore
+		sys.mu.RUnlock()
+		if !swapped {
 			t.Error("second concurrent background reorg accepted")
 		}
 	}
@@ -300,6 +305,11 @@ func TestReorganizeAsync(t *testing.T) {
 	}
 	if after.BlocksRead > before.BlocksRead {
 		t.Errorf("swap did not improve shifted query: %d → %d", before.BlocksRead, after.BlocksRead)
+	}
+	if second != nil {
+		if res := <-second; res.Err != nil {
+			t.Fatal(res.Err)
+		}
 	}
 	// Mutations work again after the swap.
 	if _, err := sys.Reorganize(shifted, ReorgOptions{ExpectedQueries: 10}); err != nil {
