@@ -1,7 +1,13 @@
 // Command benchjson converts `go test -bench` output into a JSON snapshot.
 // It echoes stdin through unchanged (so benchmark output still lands in the
 // terminal or CI log) and parses Benchmark* result lines plus the goos /
-// goarch / pkg / cpu header lines, writing the collected results to -out.
+// goarch / pkg / cpu header lines, writing the collected results to -out
+// together with the machine's CPU count, GOMAXPROCS and Go version.
+//
+// benchjson runs on the machine of the `go test` it reads, so its own
+// GOMAXPROCS is the one the benchmarks ran with: `go test` appends it as a
+// trailing -N to every name unless it is 1, and only a suffix equal to it
+// is taken for one (a sub-benchmark may end in -N itself, say parallel-8).
 //
 // Usage:
 //
@@ -14,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -32,10 +39,13 @@ type Result struct {
 
 // Snapshot is the file benchjson writes.
 type Snapshot struct {
-	Goos      string   `json:"goos,omitempty"`
-	Goarch    string   `json:"goarch,omitempty"`
-	CPU       string   `json:"cpu,omitempty"`
-	Date      string   `json:"date"`
+	Goos       string   `json:"goos,omitempty"`
+	Goarch     string   `json:"goarch,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
+	NumCPU     int      `json:"num_cpu"`
+	GOMAXPROCS int      `json:"gomaxprocs"`
+	GoVersion  string   `json:"go_version"`
+	Date       string   `json:"date"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -43,7 +53,12 @@ func main() {
 	out := flag.String("out", "", "file to write the JSON snapshot to (default stdout only)")
 	flag.Parse()
 
-	snap := Snapshot{Date: time.Now().UTC().Format(time.RFC3339)}
+	snap := Snapshot{
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
+		Date:       time.Now().UTC().Format(time.RFC3339),
+	}
 	pkg := ""
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -60,7 +75,7 @@ func main() {
 		case strings.HasPrefix(line, "pkg: "):
 			pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "Benchmark"):
-			if r, ok := parseBench(line); ok {
+			if r, ok := parseBench(line, snap.GOMAXPROCS); ok {
 				r.Pkg = pkg
 				snap.Benchmarks = append(snap.Benchmarks, r)
 			}
@@ -84,21 +99,21 @@ func main() {
 	}
 }
 
-// parseBench parses one result line, e.g.
+// parseBench parses one result line of a run with the given GOMAXPROCS,
+// e.g. with procs 8
 //
 //	BenchmarkBuild-8   120  9371002 ns/op  523120 B/op  1042 allocs/op
-func parseBench(line string) (Result, bool) {
+//
+// A trailing -N is stripped from the name only when N equals procs and
+// procs is not 1, the only case in which `go test` appends it.
+func parseBench(line string, procs int) (Result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || fields[3] != "ns/op" {
 		return Result{}, false
 	}
-	var r Result
-	r.Name = fields[0]
-	r.Procs = 1
-	if i := strings.LastIndex(r.Name, "-"); i > 0 {
-		if p, err := strconv.Atoi(r.Name[i+1:]); err == nil {
-			r.Name, r.Procs = r.Name[:i], p
-		}
+	r := Result{Name: fields[0], Procs: procs}
+	if suffix := "-" + strconv.Itoa(procs); procs != 1 && strings.HasSuffix(r.Name, suffix) {
+		r.Name = strings.TrimSuffix(r.Name, suffix)
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {

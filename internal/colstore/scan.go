@@ -313,10 +313,8 @@ func evalCmpInt(pv pageView, op predicate.Op, lit int64, nrows int, out []uint64
 			return r.err()
 		}
 		if width < 64 {
-			codes := sc.grabWords(n)
-			if err := unpackBitsInto(codes, r.buf[r.off:], width); err != nil {
-				return err
-			}
+			// Classify the literal against the page's domain first: below
+			// or above it, the packed codes are never read.
 			switch {
 			case lit < min: // below the domain: only Ne/Gt/Ge can match
 				if op == predicate.Ne || op == predicate.Gt || op == predicate.Ge {
@@ -327,6 +325,10 @@ func evalCmpInt(pv pageView, op predicate.Op, lit int64, nrows int, out []uint64
 					setAllBits(out, nrows)
 				}
 			default:
+				codes := sc.grabWords(n)
+				if err := unpackBitsInto(codes, r.buf[r.off:], width); err != nil {
+					return err
+				}
 				off := uint64(lit) - uint64(min)
 				switch op {
 				case predicate.Eq:

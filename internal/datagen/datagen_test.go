@@ -34,14 +34,11 @@ func TestTPCHShape(t *testing.T) {
 	// correlation of §6.3.1).
 	orders := ds.Table("orders")
 	// Referential integrity: every lineitem joins an order.
-	ki, err := relation.BuildKeyIndex(orders, "o_orderkey")
-	if err != nil {
-		t.Fatal(err)
-	}
 	line := ds.Table("lineitem")
-	ok := line.Schema().MustColumnIndex("l_orderkey")
+	toOrders := line.Translation("l_orderkey", orders, "o_orderkey").Codes
+	codes := line.Dict("l_orderkey").Codes
 	for r := 0; r < line.NumRows(); r += 97 {
-		if ki.LookupInt(line.Value(r, ok).Int()) == nil {
+		if codes[r] < 0 || toOrders[codes[r]] < 0 {
 			t.Fatalf("lineitem row %d references missing order", r)
 		}
 	}

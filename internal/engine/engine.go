@@ -124,23 +124,24 @@ func (r *Result) FractionOfBlocks() float64 {
 // Engine executes queries against one installed design.
 //
 // An Engine is safe for concurrent Execute calls: all per-query state is
-// local to a call, and the lazily built secondary-index caches below are
-// guarded by mu. RunWorkload exploits this to replay workloads in parallel.
+// local to a call, and the lazily built layout cache below is guarded by
+// mu. RunWorkload exploits this to replay workloads in parallel.
+//
+// The engine holds only layout-dependent state. Join-key dictionaries,
+// postings and code translations depend on the data alone, so the
+// relation.Table owns them (see relation.Table.Dict) and every engine,
+// layout generation and tenant over the dataset shares one build.
 type Engine struct {
 	store  block.Backend
 	design *layout.Design
 	ds     *relation.Dataset
 	opts   Options
 
-	// Lazily built cross-query caches. mu guards all four maps; entries
-	// are immutable once stored, so holders may read them after releasing
-	// the lock. keyIdx and dicts cache failed builds as nil entries so
-	// unindexable/unencodable columns are not retried on every query.
+	// mu guards blockOf (table → row → block ID under the installed
+	// layout), built lazily for secondary-index pruning. Entries are
+	// immutable once stored; failed builds are cached as nil.
 	mu      sync.Mutex
-	keyIdx  map[string]*relation.KeyIndex
-	blockOf map[string][]int32 // table → row → block ID
-	dicts   map[string]*relation.ColumnDict
-	xlate   map[string][]int32 // "tgt.col|src.col" → target code → source code
+	blockOf map[string][]int32
 
 	// counters accumulates per-engine execution stats; see StatsSnapshot.
 	counters engineCounters
@@ -156,10 +157,7 @@ func New(store block.Backend, design *layout.Design, ds *relation.Dataset, opts 
 	}
 	return &Engine{
 		store: store, design: design, ds: ds, opts: opts,
-		keyIdx:  map[string]*relation.KeyIndex{},
 		blockOf: map[string][]int32{},
-		dicts:   map[string]*relation.ColumnDict{},
-		xlate:   map[string][]int32{},
 	}
 }
 

@@ -74,7 +74,7 @@ func (e *Engine) foldGroupedKernel(q *workload.Query, vecAliases map[string]*vec
 	a := vecAliases[gb.Alias]
 	if !e.opts.DecodeScan {
 		if cga, ok := e.store.(block.CompressedGroupedAggregator); ok {
-			if dict := e.dictFor(a.table, gb.Column); dict != nil {
+			if dict := a.tbl.Dict(gb.Column); dict != nil {
 				out, err := e.foldGroupedCompressed(q, a, tables[a.table], dict, cga)
 				if err != nil {
 					return nil, err
@@ -206,7 +206,7 @@ func (e *Engine) foldGroupedMaterialized(table string, tbl *relation.Table, set 
 	}
 	gkind := tbl.Schema().Column(gci).Type
 	gnulls := tbl.Nulls(gci)
-	dict := e.dictFor(table, gb.Column)
+	dict := tbl.Dict(gb.Column)
 
 	// Per-spec column accessors, resolved once.
 	type colAccess struct {

@@ -21,10 +21,10 @@ import (
 //   - filter evaluation compiles to one dense bit mask per (alias, table)
 //     via predicate.CompileMask, ANDed with the bitset of rows present in the
 //     candidate blocks;
-//   - join keys live as dictionary-code sets (relation.ColumnDict, cached
-//     on the Engine like the secondary-index state), so semantic reduction
-//     probes int32 codes instead of boxed value.Value map keys, and skips
-//     re-reducing a side whose inputs are provably unchanged;
+//   - join keys live as dictionary-code sets (relation.ColumnDict, owned
+//     by the relation.Table and shared by every engine), so semantic
+//     reduction costs the rows that match rather than every survivor: see
+//     reduceKernel and applyReduce;
 //   - zone-map pruning compiles each filter's range evaluator once
 //     (predicate.CompileRanges) and sweeps all candidate blocks in one
 //     pass.
@@ -39,6 +39,7 @@ import (
 type vecAlias struct {
 	alias   string
 	table   string
+	tbl     *relation.Table
 	filter  predicate.Predicate
 	set     bitmap.Dense
 	setBuf  *denseBuf // pooled backing of set, released after the query
@@ -51,11 +52,15 @@ type vecAlias struct {
 // one column, in up to three interchangeable representations built
 // lazily: dictionary codes (for coded membership probes), sorted raw ints
 // (for zone-interval probes), and boxed values (for secondary-index
-// lookups and non-encodable columns).
+// lookups and non-encodable columns). A snapshot is never mutated once
+// stored: reduction derives a new one when it shrinks the alias.
 type cachedKeys struct {
 	version int
 	dict    *relation.ColumnDict // nil for non-encodable columns
 	coded   bitmap.Dense         // set of dict codes; nil when dict is nil
+	n       int                  // number of codes in coded
+	all     bool                 // the alias holds every row of the table
+	null    bool                 // some row's key is null (dict columns)
 	boxed   map[value.Value]struct{}
 	ints    []int64       // sorted ascending; int dicts only
 	vals    []value.Value // sorted ascending, single kind
@@ -63,27 +68,28 @@ type cachedKeys struct {
 
 // keysFor returns a's key snapshot for col, reusing the cached one while
 // a's row set is unchanged ("dirty alias" tracking: a clean version means
-// the expensive extraction can be skipped entirely).
-func (e *Engine) keysFor(a *vecAlias, tbl *relation.Table, col string) *cachedKeys {
+// the expensive extraction can be skipped entirely). An alias holding
+// every row of the table holds every code, so its snapshot needs no walk.
+func (e *Engine) keysFor(a *vecAlias, col string) *cachedKeys {
 	if ck, ok := a.keys[col]; ok && ck.version == a.version {
 		return ck
 	}
-	ck := &cachedKeys{version: a.version, dict: e.dictFor(a.table, col)}
+	ck := &cachedKeys{version: a.version, dict: a.tbl.Dict(col)}
 	if ck.dict != nil {
-		codes := ck.dict.Codes
-		ck.coded = bitmap.NewDense(ck.dict.NumCodes())
-		a.set.ForEach(func(r int) {
-			if c := codes[r]; c >= 0 {
-				ck.coded.Set(int(c))
-			}
-		})
+		nc := ck.dict.NumCodes()
+		if a.count == a.tbl.NumRows() {
+			ck.coded, ck.n, ck.all, ck.null = allCodes(nc), nc, true, ck.dict.HasNull
+		} else {
+			ck.coded = bitmap.NewDense(nc)
+			ck.n, ck.null = collectCodes(a.set, ck.dict.Codes, ck.coded)
+		}
 	} else {
 		// Non-encodable column (float keys, or a column this table does
 		// not have): fall back to boxing the values directly.
 		ck.boxed = map[value.Value]struct{}{}
-		if ci, ok := tbl.Schema().ColumnIndex(col); ok {
+		if ci, ok := a.tbl.Schema().ColumnIndex(col); ok {
 			a.set.ForEach(func(r int) {
-				if v := tbl.Value(r, ci); !v.IsNull() {
+				if v := a.tbl.Value(r, ci); !v.IsNull() {
 					ck.boxed[v] = struct{}{}
 				}
 			})
@@ -91,6 +97,33 @@ func (e *Engine) keysFor(a *vecAlias, tbl *relation.Table, col string) *cachedKe
 	}
 	a.keys[col] = ck
 	return ck
+}
+
+// allCodes returns the set holding codes [0, n).
+func allCodes(n int) bitmap.Dense {
+	d := bitmap.NewDense(n)
+	for w := range d {
+		d[w] = ^uint64(0)
+	}
+	if n&63 != 0 {
+		d[len(d)-1] = 1<<(uint(n)&63) - 1
+	}
+	return d
+}
+
+// collectCodes sets in coded the code of every row in set, returning the
+// number of distinct codes and whether some row is null.
+func collectCodes(set bitmap.Dense, codes []int32, coded bitmap.Dense) (n int, null bool) {
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			if c := codes[w<<6|bits.TrailingZeros64(word)]; c >= 0 {
+				coded.Set(int(c))
+			} else {
+				null = true
+			}
+		}
+	}
+	return coded.Count(), null
 }
 
 // boxedKeys returns the keys as a value set (the scalar keysOf shape).
@@ -108,8 +141,11 @@ func (ck *cachedKeys) intKeys() (keys []int64, ok bool) {
 	if ck.dict == nil || ck.dict.Kind != value.KindInt {
 		return nil, false
 	}
+	if ck.ints == nil && ck.all {
+		ck.ints = ck.dict.Ints // every code, already ascending
+	}
 	if ck.ints == nil {
-		ck.ints = make([]int64, 0, ck.coded.Count())
+		ck.ints = make([]int64, 0, ck.n)
 		ck.coded.ForEach(func(c int) { ck.ints = append(ck.ints, ck.dict.Ints[c]) })
 	}
 	return ck.ints, true
@@ -130,41 +166,6 @@ func (ck *cachedKeys) valueKeys() []value.Value {
 	return ck.vals
 }
 
-// dictFor returns the cached dictionary encoding of table.col, nil when
-// the column cannot be encoded (float or missing). Failures are cached
-// too, so unencodable columns are not retried on every query.
-func (e *Engine) dictFor(table, col string) *relation.ColumnDict {
-	cacheKey := table + "." + col
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if d, ok := e.dicts[cacheKey]; ok {
-		return d
-	}
-	d, err := relation.BuildColumnDict(e.ds.Table(table), col)
-	if err != nil {
-		d = nil
-	}
-	e.dicts[cacheKey] = d
-	return d
-}
-
-// xlateFor returns the cached code translation from the target column's
-// dictionary into the source column's, so target rows can probe source
-// key sets without boxing a single value.
-func (e *Engine) xlateFor(tgtTable, tgtCol string, tgt *relation.ColumnDict,
-	srcTable, srcCol string, src *relation.ColumnDict) []int32 {
-
-	cacheKey := tgtTable + "." + tgtCol + "|" + srcTable + "." + srcCol
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if xl, ok := e.xlate[cacheKey]; ok {
-		return xl
-	}
-	xl := relation.TranslateCodes(tgt, src)
-	e.xlate[cacheKey] = xl
-	return xl
-}
-
 // executeKernel stages a query through the vectorized kernels.
 func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 	tables, order, err := e.plan(q)
@@ -176,8 +177,8 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 	byTable := map[string][]*vecAlias{}
 	for _, alias := range q.Aliases() {
 		base := q.BaseTable(alias)
-		a := &vecAlias{alias: alias, table: base, filter: q.FilterOn(alias),
-			keys: map[string]*cachedKeys{}}
+		a := &vecAlias{alias: alias, table: base, tbl: e.ds.Table(base),
+			filter: q.FilterOn(alias), keys: map[string]*cachedKeys{}}
 		vecAliases[alias] = a
 		byTable[base] = append(byTable[base], a)
 	}
@@ -258,7 +259,10 @@ func (e *Engine) executeKernel(q *workload.Query) (*Result, error) {
 		}
 	}
 
-	joinProbes := e.reduceKernel(q, vecAliases)
+	joinProbes, truncated := e.reduceKernel(q, vecAliases)
+	if truncated {
+		e.counters.truncated.Add(1)
+	}
 
 	surviving := make(map[string]int, len(vecAliases))
 	for alias, a := range vecAliases {
@@ -366,12 +370,11 @@ func (e *Engine) blockPruneKernel(q *workload.Query, ts *tableState,
 		if otherTS == nil || !otherTS.read || other.table == ts.table {
 			continue
 		}
-		otherTbl := e.ds.Table(other.table)
-		if !tableHasColumn(otherTbl, otherCol) {
+		if !tableHasColumn(other.tbl, otherCol) {
 			// No keys to reduce with (see runtimeBlockPrune).
 			continue
 		}
-		ck := e.keysFor(other, otherTbl, otherCol)
+		ck := e.keysFor(other, otherCol)
 		if e.opts.SecondaryIndexes[ts.table] == myCol {
 			if e.secondaryIndexPrune(ts, myCol, ck.boxedKeys()) {
 				reducers++
@@ -410,67 +413,86 @@ func (e *Engine) blockPruneKernel(q *workload.Query, ts *tableState,
 // idempotent, so while both versions are unchanged re-running the scan is
 // provably a no-op and is skipped; the probe charges still accrue, keeping
 // the cost model identical to the reference path.
+//
+// It also caches the direction's keep set — the source's keys as target
+// codes — and the number of target table rows holding those codes. The
+// set stays valid while the source is at version keepVer and, for a set
+// restricted to the target snapshot's codes, while within is current.
 type dirMemo struct {
 	srcVer, tgtVer int
 	valid          bool
+
+	hasKeep bool
+	keepVer int
+	within  *cachedKeys
+	keep    bitmap.Dense
+	matches int
 }
 
+// postingCost is the price of visiting one row through a postings list,
+// in units of one survivor visited by a walk: a posting visit is a random
+// probe into the survivor bitmap while the walk streams it. A postings
+// route is taken when it promises at most a quarter of the walk's visits,
+// and a probe gives up after a quarter of the walk it replaces. On
+// BenchmarkSemiJoinReduce (TPC-H Q9/Q17/Q18, SF 0.02, 2 vCPU, go1.24; sum
+// of the per-template best of three runs) costs 2 and 4 tied at 5.0 and
+// 5.1 ms per query, while 1 took 5.7 and 8 took 5.5.
+const postingCost = 4
+
 // reduceKernel is the vectorized semantic-reduction fixpoint: identical
-// pass structure and probe accounting to semanticReduce, with row scans
-// running over coded bitsets and skipped when the direction's inputs are
-// unchanged.
-func (e *Engine) reduceKernel(q *workload.Query, aliases map[string]*vecAlias) int {
+// pass structure and probe accounting to semanticReduce, with each step
+// costing the rows that match (see applyReduce) and skipped when the
+// direction's inputs are unchanged. truncated reports that the pass cap
+// stopped the fixpoint while the last pass was still shrinking a set.
+func (e *Engine) reduceKernel(q *workload.Query, aliases map[string]*vecAlias) (probes int, truncated bool) {
 	// memo[2i] covers reducing join i's left side by the right's keys;
 	// memo[2i+1] the opposite direction.
 	memo := make([]dirMemo, 2*len(q.Joins))
-	probes := 0
 	for pass := 0; pass < e.opts.MaxReductionPasses; pass++ {
 		changed := false
 		for i, j := range q.Joins {
 			l, r := aliases[j.Left], aliases[j.Right]
-			lt, rt := e.ds.Table(l.table), e.ds.Table(r.table)
-			if !tableHasColumn(lt, j.LeftColumn) || !tableHasColumn(rt, j.RightColumn) {
+			if !tableHasColumn(l.tbl, j.LeftColumn) || !tableHasColumn(r.tbl, j.RightColumn) {
 				// A missing join column yields no key set; reducing by it
 				// would wrongly drop every row. Skip the edge (see
 				// semanticReduce).
 				continue
 			}
 			lByR, rByL := &memo[2*i], &memo[2*i+1]
+			// Each direction reduces by the source's keys as of the start
+			// of this edge's step, like the scalar path: version lv or rv.
+			// For an inner or semi join the second direction reads the
+			// source after the first may have shrunk it, by exactly the
+			// keys absent from the target, so the target keeps the same
+			// rows either way.
+			lv, rv := l.version, r.version
 			switch j.Type {
 			case workload.InnerJoin, workload.SemiJoin:
-				// Snapshot both key sets before either side shrinks,
-				// like the scalar path.
-				lk, lv := e.keysFor(l, lt, j.LeftColumn), l.version
-				rk, rv := e.keysFor(r, rt, j.RightColumn), r.version
 				probes += l.count + r.count
-				if e.applyReduce(l, lt, j.LeftColumn, r.table, j.RightColumn, rk, rv, false, lByR) {
+				if e.applyReduce(l, j.LeftColumn, r, j.RightColumn, rv, false, lByR) {
 					changed = true
 				}
-				if e.applyReduce(r, rt, j.RightColumn, l.table, j.LeftColumn, lk, lv, false, rByL) {
+				if e.applyReduce(r, j.RightColumn, l, j.LeftColumn, lv, false, rByL) {
 					changed = true
 				}
 			case workload.LeftOuterJoin:
-				lk, lv := e.keysFor(l, lt, j.LeftColumn), l.version
 				probes += r.count
-				if e.applyReduce(r, rt, j.RightColumn, l.table, j.LeftColumn, lk, lv, false, rByL) {
+				if e.applyReduce(r, j.RightColumn, l, j.LeftColumn, lv, false, rByL) {
 					changed = true
 				}
 			case workload.RightOuterJoin:
-				rk, rv := e.keysFor(r, rt, j.RightColumn), r.version
 				probes += l.count
-				if e.applyReduce(l, lt, j.LeftColumn, r.table, j.RightColumn, rk, rv, false, lByR) {
+				if e.applyReduce(l, j.LeftColumn, r, j.RightColumn, rv, false, lByR) {
 					changed = true
 				}
 			case workload.LeftAntiSemiJoin:
-				rk, rv := e.keysFor(r, rt, j.RightColumn), r.version
 				probes += l.count
-				if e.applyReduce(l, lt, j.LeftColumn, r.table, j.RightColumn, rk, rv, true, lByR) {
+				if e.applyReduce(l, j.LeftColumn, r, j.RightColumn, rv, true, lByR) {
 					changed = true
 				}
 			case workload.RightAntiSemiJoin:
-				lk, lv := e.keysFor(l, lt, j.LeftColumn), l.version
 				probes += r.count
-				if e.applyReduce(r, rt, j.RightColumn, l.table, j.LeftColumn, lk, lv, true, rByL) {
+				if e.applyReduce(r, j.RightColumn, l, j.LeftColumn, lv, true, rByL) {
 					changed = true
 				}
 			case workload.FullOuterJoin:
@@ -482,63 +504,361 @@ func (e *Engine) reduceKernel(q *workload.Query, aliases map[string]*vecAlias) i
 			}
 		}
 		if !changed {
-			break
+			return probes, false
 		}
 	}
-	return probes
+	return probes, true
 }
 
 // applyReduce keeps only tgt rows whose tgtCol key membership in the
-// source key set matches (anti keeps non-members), mirroring the scalar
-// reduceTo. srcVer is the source alias's version at key-snapshot time; the
-// scan is skipped when the memo proves both sides unchanged since the
-// direction last ran. Reports whether the row set shrank.
-func (e *Engine) applyReduce(tgt *vecAlias, tgtTbl *relation.Table, tgtCol, srcTable, srcCol string,
-	src *cachedKeys, srcVer int, anti bool, m *dirMemo) bool {
+// source's srcCol keys matches (anti keeps non-members), mirroring the
+// scalar reduceTo. srcVer is the source alias's version when the edge's
+// step began; the step is skipped when the memo proves both sides
+// unchanged since the direction last ran. Reports whether the row set
+// shrank.
+func (e *Engine) applyReduce(tgt *vecAlias, tgtCol string, src *vecAlias, srcCol string,
+	srcVer int, anti bool, m *dirMemo) bool {
 
 	if m.valid && m.srcVer == srcVer && m.tgtVer == tgt.version {
 		return false
 	}
-	td := e.dictFor(tgt.table, tgtCol)
-	removed := false
-	if td != nil && src.dict != nil {
-		xl := e.xlateFor(tgt.table, tgtCol, td, srcTable, srcCol, src.dict)
-		removed = reduceCoded(tgt.set, td.Codes, xl, src.coded, anti)
-	} else {
-		removed = reduceBoxed(tgt.set, tgtTbl, tgtCol, src.boxedKeys(), anti)
-	}
-	if removed {
+	m.srcVer, m.valid = srcVer, true
+	before := tgt.count
+	td, sd := tgt.tbl.Dict(tgtCol), src.tbl.Dict(srcCol)
+	if td != nil && sd != nil {
+		e.reduceCoded(tgt, tgtCol, td, src, srcCol, anti, m)
+	} else if reduceBoxed(tgt.set, tgt.tbl, tgtCol, e.keysFor(src, srcCol).boxedKeys(), anti) {
 		tgt.count = tgt.set.Count()
+	}
+	removed := tgt.count != before
+	if removed {
 		tgt.version++
 	}
-	*m = dirMemo{srcVer: srcVer, tgtVer: tgt.version, valid: true}
+	m.tgtVer = tgt.version
 	return removed
 }
 
-// reduceCoded drops set rows whose membership — row code, translated into
-// the source dictionary, probed against the source code set — equals anti.
-// Null rows (code -1) are never members, matching the scalar reduceTo.
-func reduceCoded(set bitmap.Dense, codes, xl []int32, srcCodes bitmap.Dense, anti bool) bool {
-	removed := false
-	for w := range set {
-		word := set[w]
-		for word != 0 {
-			t := word & -word
-			r := w<<6 | bits.TrailingZeros64(word)
-			word ^= t
-			member := false
-			if c := codes[r]; c >= 0 {
-				if sc := xl[c]; sc >= 0 {
-					member = srcCodes.Get(int(sc))
-				}
-			}
-			if member == anti {
-				set[w] &^= t
-				removed = true
+// reduceCoded is applyReduce on dictionary-encoded columns. It costs the
+// rows that match, not the survivors:
+//
+//   - the source's keys become a keep set of target codes once per
+//     direction and source version, by the cheapest route: the table-owned
+//     set of target codes with a match when the source holds every row;
+//     probing the source's postings for a surviving row per target code,
+//     within a budget, when the source has no key snapshot; otherwise
+//     translating the smaller of the two snapshots. The postings count the
+//     target rows holding the kept codes;
+//   - the target's current key snapshot tk, when there is one, splits into
+//     kept and dropped codes: an empty side proves the step a no-op or
+//     empties the set without touching a row, and the postings of the
+//     smaller side give the rows to keep or to clear;
+//   - when no postings route is cheap, one branch-free walk probes keep by
+//     each survivor's code;
+//   - the target's new snapshot is derived by set algebra (tk ∩ keep, or
+//     tk \ keep for anti), or collected by that same walk, so it is never
+//     walked for again.
+func (e *Engine) reduceCoded(tgt *vecAlias, tgtCol string, td *relation.ColumnDict, src *vecAlias, srcCol string,
+	anti bool, m *dirMemo) {
+
+	post := tgt.tbl.Postings(tgtCol)
+	tk := tgt.keys[tgtCol]
+	if tk != nil && tk.version != tgt.version {
+		tk = nil
+	}
+	if tk == nil && (tgt.count == tgt.tbl.NumRows() ||
+		tgt.count < src.count && !hasKeys(src, srcCol) && src.count < src.tbl.NumRows()) {
+		// Free for a target holding every row. Otherwise the smaller side
+		// pays the walk: with the target's codes in hand the larger source
+		// is probed rather than walked.
+		tk = e.keysFor(tgt, tgtCol)
+	}
+	if !m.hasKeep || m.keepVer != src.version || (m.within != nil && m.within != tk) {
+		m.hasKeep, m.keepVer = true, src.version
+		m.keep, m.matches, m.within = e.keepSet(tgt, tgtCol, td, tk, src, srcCol, post)
+	}
+	keep, limit := m.keep, tgt.count/postingCost
+	if tk == nil {
+		all := codeSel{keep, keep, 0}
+		switch {
+		case anti && m.matches == 0, !anti && !td.HasNull && m.matches == len(post.Rows):
+			// No row holds a kept code, or every row does: nothing to drop.
+		case m.matches > limit:
+			walkReduce(tgt, tgtCol, td, keep, anti)
+		case anti:
+			tgt.count -= clearPostings(tgt.set, all, post)
+		default:
+			tgt.count = keepPostings(tgt, all, post, nil)
+		}
+		return
+	}
+
+	// Split tk into the codes whose rows stay and those whose rows go;
+	// rows with a null key stay exactly when the step is anti.
+	kept, dropped := codeSel{tk.coded, keep, 0}, codeSel{tk.coded, keep, ^uint64(0)}
+	var keepNulls, dropNulls []int32
+	if anti {
+		kept, dropped = dropped, kept
+		if tk.null {
+			keepNulls = post.Nulls
+		}
+	} else if tk.null {
+		dropNulls = post.Nulls
+	}
+	switch {
+	case dropped.empty() && dropNulls == nil:
+		return
+	case kept.empty() && keepNulls == nil:
+		clear(tgt.set)
+		tgt.count = 0
+	default:
+		keepRows := kept.rows(post, limit) + len(keepNulls)
+		dropRows := dropped.rows(post, limit) + len(dropNulls)
+		switch {
+		case min(keepRows, dropRows) > limit:
+			walkReduce(tgt, tgtCol, td, keep, anti)
+			return
+		case dropRows < keepRows:
+			tgt.count -= clearPostings(tgt.set, dropped, post) + clearRows(tgt.set, dropNulls)
+		default:
+			tgt.count = keepPostings(tgt, kept, post, keepNulls)
+		}
+	}
+	nk := &cachedKeys{version: tgt.version + 1, dict: td, coded: bitmap.NewDense(td.NumCodes()),
+		null: tk.null && anti}
+	for w := range nk.coded {
+		nk.coded[w] = kept.word(w)
+	}
+	nk.n = nk.coded.Count()
+	tgt.keys[tgtCol] = nk
+}
+
+// codeSel is the code set a ∩ b, or a \ b when inv is all ones, read word
+// by word without materializing it.
+type codeSel struct {
+	a, b bitmap.Dense
+	inv  uint64
+}
+
+func (s codeSel) word(w int) uint64 { return s.a[w] & (s.b[w] ^ s.inv) }
+
+func (s codeSel) empty() bool {
+	for w := range s.a {
+		if s.word(w) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// rows counts the rows holding the selected codes, stopping once the
+// count exceeds limit.
+func (s codeSel) rows(post *relation.Postings, limit int) int {
+	n := 0
+	for w := range s.a {
+		for word := s.word(w); word != 0 && n <= limit; word &= word - 1 {
+			n += post.Count(int32(w<<6 | bits.TrailingZeros64(word)))
+		}
+	}
+	return n
+}
+
+// hasKeys reports whether a has a current key snapshot for col.
+func hasKeys(a *vecAlias, col string) bool {
+	ck := a.keys[col]
+	return ck != nil && ck.version == a.version
+}
+
+// keepSet returns the source's srcCol keys as a set of target codes and
+// the number of target rows holding them (see reduceCoded for the routes).
+// within is tk when the set is restricted to tk's codes.
+func (e *Engine) keepSet(tgt *vecAlias, tgtCol string, td *relation.ColumnDict, tk *cachedKeys,
+	src *vecAlias, srcCol string, post *relation.Postings) (keep bitmap.Dense, matches int, within *cachedKeys) {
+
+	if src.count == src.tbl.NumRows() {
+		tr := tgt.tbl.Translation(tgtCol, src.tbl, srcCol)
+		return tr.Matched, tr.MatchedRows, nil
+	}
+	if tk != nil && !hasKeys(src, srcCol) {
+		// A probe stops at each code's first surviving source row, so it
+		// usually costs about one visit per code; the budget caps the loss
+		// when it does not at a quarter of the source walk it replaces.
+		toSrc := tgt.tbl.Translation(tgtCol, src.tbl, srcCol).Codes
+		if keep, matches, ok := keepByProbe(tk.coded, src, srcCol, toSrc, post, src.count/postingCost); ok {
+			return keep, matches, tk
+		}
+	}
+	sk := e.keysFor(src, srcCol)
+	if tk != nil && tk.n < sk.n {
+		keep, matches = keepWithin(tk.coded, sk.coded, tgt.tbl.Translation(tgtCol, src.tbl, srcCol).Codes, post)
+		return keep, matches, tk
+	}
+	keep, matches = translateKeys(sk.coded, src.tbl.Translation(srcCol, tgt.tbl, tgtCol).Codes, post, td.NumCodes())
+	return keep, matches, nil
+}
+
+// translateKeys maps the source code set through xl (source code → target
+// code) into a keep set over the target's nc codes, counting the target
+// rows that hold the kept codes.
+func translateKeys(srcCodes bitmap.Dense, xl []int32, post *relation.Postings, nc int) (keep bitmap.Dense, matches int) {
+	keep = bitmap.NewDense(nc)
+	for w, word := range srcCodes {
+		for ; word != 0; word &= word - 1 {
+			if tc := xl[w<<6|bits.TrailingZeros64(word)]; tc >= 0 {
+				keep.Set(int(tc))
+				matches += post.Count(tc)
 			}
 		}
 	}
-	return removed
+	return keep, matches
+}
+
+// keepWithin is translateKeys driven from the target side: it keeps the
+// codes of tgtCodes whose value, through xl (target code → source code),
+// is in srcCodes. Cheaper when the target snapshot has fewer codes, and
+// exact for it, since the target's rows hold no other codes.
+func keepWithin(tgtCodes, srcCodes bitmap.Dense, xl []int32, post *relation.Postings) (keep bitmap.Dense, matches int) {
+	keep = make(bitmap.Dense, len(tgtCodes))
+	for w, word := range tgtCodes {
+		for ; word != 0; word &= word - 1 {
+			tc := w<<6 | bits.TrailingZeros64(word)
+			if sc := xl[tc]; sc >= 0 && srcCodes.Get(int(sc)) {
+				keep.Set(tc)
+				matches += post.Count(int32(tc))
+			}
+		}
+	}
+	return keep, matches
+}
+
+// keepByProbe is keepWithin without a source snapshot: a target code is
+// kept when one of the source rows holding its translation survives. It
+// gives up (ok false) once it has visited more than budget source rows.
+func keepByProbe(codes bitmap.Dense, src *vecAlias, srcCol string, xl []int32, post *relation.Postings,
+	budget int) (keep bitmap.Dense, matches int, ok bool) {
+
+	spost := src.tbl.Postings(srcCol)
+	keep = make(bitmap.Dense, len(codes))
+	for w, word := range codes {
+		for ; word != 0; word &= word - 1 {
+			tc := w<<6 | bits.TrailingZeros64(word)
+			sc := xl[tc]
+			if sc < 0 {
+				continue
+			}
+			for _, r := range spost.Of(sc) {
+				budget--
+				if src.set.Get(int(r)) {
+					keep.Set(tc)
+					matches += post.Count(int32(tc))
+					break
+				}
+			}
+			if budget < 0 {
+				return nil, 0, false
+			}
+		}
+	}
+	return keep, matches, true
+}
+
+// walkReduce reduces tgt's rows by one reduceWalk and stores the key
+// snapshot the walk collects on the way.
+func walkReduce(tgt *vecAlias, col string, td *relation.ColumnDict, keep bitmap.Dense, anti bool) {
+	nk := &cachedKeys{dict: td, coded: bitmap.NewDense(td.NumCodes())}
+	dropped, null := reduceWalk(tgt.set, td.Codes, keep, anti, nk.coded)
+	tgt.count -= dropped
+	nk.version, nk.n, nk.null = tgt.version, nk.coded.Count(), null
+	if dropped > 0 {
+		nk.version++
+	}
+	tgt.keys[col] = nk
+}
+
+// reduceWalk drops the rows of set whose membership in keep — probed by
+// the row's own code, null rows (code -1) never members — equals anti, in
+// one pass without branches on the data. It also sets in coded the code
+// of every row it keeps, and reports how many rows it dropped and whether
+// it kept a null one. keep must span at least one word; a column without
+// codes matches no row, so reduceCoded never walks it.
+func reduceWalk(set bitmap.Dense, codes []int32, keep bitmap.Dense, anti bool,
+	coded bitmap.Dense) (dropped int, null bool) {
+
+	flip := uint64(1) // non-anti drops non-members
+	if anti {
+		flip = 0
+	}
+	var nulls uint64
+	for w, word := range set {
+		var drop uint64
+		for rest := word; rest != 0; rest &= rest - 1 {
+			tz := bits.TrailingZeros64(rest)
+			c := codes[w<<6|tz]
+			isNull := uint64(c >> 31) // all ones for a null row
+			i := c &^ (c >> 31)       // a null row probes code 0, masked off
+			member := (keep[i>>6] >> (uint(i) & 63)) & 1 &^ isNull
+			gone := member ^ flip
+			drop |= (1 << tz) & -gone
+			coded[i>>6] |= ((gone ^ 1) &^ isNull) << (uint(i) & 63)
+			nulls |= (gone ^ 1) & isNull
+		}
+		set[w] = word &^ drop
+		dropped += bits.OnesCount64(drop)
+	}
+	return dropped, nulls != 0
+}
+
+// keepPostings replaces a's row set with its rows that hold a selected
+// code, or are among the extra rows, built from the postings into a fresh
+// pooled bitmap; it returns how many there are.
+func keepPostings(a *vecAlias, codes codeSel, post *relation.Postings, extra []int32) int {
+	next := grabDense(a.tbl.NumRows())
+	nd := next.dense()
+	n := copyRows(a.set, nd, extra)
+	for w := range codes.a {
+		for word := codes.word(w); word != 0; word &= word - 1 {
+			n += copyRows(a.set, nd, post.Of(int32(w<<6|bits.TrailingZeros64(word))))
+		}
+	}
+	putDense(a.setBuf)
+	a.setBuf, a.set = next, nd
+	return n
+}
+
+// copyRows sets in dst the given rows that are in src and returns how many
+// there were.
+func copyRows(src, dst bitmap.Dense, rows []int32) int {
+	n := 0
+	for _, r := range rows {
+		if src.Get(int(r)) {
+			dst.Set(int(r))
+			n++
+		}
+	}
+	return n
+}
+
+// clearPostings clears from set the rows that hold a selected code and
+// returns how many it cleared.
+func clearPostings(set bitmap.Dense, codes codeSel, post *relation.Postings) int {
+	n := 0
+	for w := range codes.a {
+		for word := codes.word(w); word != 0; word &= word - 1 {
+			n += clearRows(set, post.Of(int32(w<<6|bits.TrailingZeros64(word))))
+		}
+	}
+	return n
+}
+
+// clearRows clears the given rows from set and returns how many were set.
+func clearRows(set bitmap.Dense, rows []int32) int {
+	n := 0
+	for _, r := range rows {
+		if set.Get(int(r)) {
+			set.Clear(int(r))
+			n++
+		}
+	}
+	return n
 }
 
 // reduceBoxed is the boxed fallback for non-encodable columns, with the

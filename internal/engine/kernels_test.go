@@ -231,7 +231,7 @@ func TestAnyIntKeyInInterval(t *testing.T) {
 }
 
 // TestKernelMatchesReferenceSecondaryIndex pins the kernel to the scalar
-// path under secondary-index pruning, where key sets flow into KeyIndex
+// path under secondary-index pruning, where key sets flow into postings
 // lookups instead of zone probes.
 func TestKernelMatchesReferenceSecondaryIndex(t *testing.T) {
 	ds := starDS(t, 1000, 20000, 13)

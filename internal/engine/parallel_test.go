@@ -87,7 +87,8 @@ func installSnowflake(t testing.TB, ds *relation.Dataset, blockSize int) (*block
 }
 
 // parallelEngineOptions turns on every execution-time feature so the
-// parallel run exercises the keyIdx/blockOf caches and diP pruning.
+// parallel run exercises the table-owned key indexes, the blockOf cache
+// and diP pruning.
 func parallelEngineOptions() Options {
 	opts := CloudDWOptions()
 	opts.DiPs = true

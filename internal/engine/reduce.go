@@ -194,24 +194,6 @@ func (e *Engine) runtimeBlockPrune(q *workload.Query, ts *tableState,
 	return reducers
 }
 
-// keyIndexFor returns the table.col key index, building and caching it on
-// first use. nil means the column cannot be indexed; the failure is cached
-// too, so unindexable columns are not retried on every query.
-func (e *Engine) keyIndexFor(table, col string) *relation.KeyIndex {
-	cacheKey := table + "." + col
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ki, ok := e.keyIdx[cacheKey]; ok {
-		return ki
-	}
-	ki, err := relation.BuildKeyIndex(e.ds.Table(table), col)
-	if err != nil {
-		ki = nil
-	}
-	e.keyIdx[cacheKey] = ki
-	return ki
-}
-
 // blockOfFor returns the table's row → block ID mapping, building and
 // caching it on first use. The mapping is an auxiliary-index read served
 // by the backend (from the segment's row-ID pages, for the disk backend);
@@ -232,13 +214,16 @@ func (e *Engine) blockOfFor(table string) []int32 {
 }
 
 // secondaryIndexPrune keeps only candidate blocks that physically contain a
-// row whose indexed column matches one of the keys. Unlike zone-interval
-// pruning, it works without any clustering of the join column. Reports
-// whether an index probe ran (false for unindexable column types, where no
-// reducer is built and nothing is pruned).
+// row whose indexed column matches one of the keys: each key resolves to
+// its dictionary code and the column's postings (owned by the table) give
+// its rows. Unlike zone-interval pruning, it works without any clustering
+// of the join column. Reports whether an index probe ran (false for
+// unindexable column types, where no reducer is built and nothing is
+// pruned).
 func (e *Engine) secondaryIndexPrune(ts *tableState, col string, keys map[value.Value]struct{}) bool {
-	ki := e.keyIndexFor(ts.table, col)
-	if ki == nil {
+	tbl := e.ds.Table(ts.table)
+	dict, post := tbl.Dict(col), tbl.Postings(col)
+	if dict == nil {
 		return false
 	}
 	blockOf := e.blockOfFor(ts.table)
@@ -247,8 +232,10 @@ func (e *Engine) secondaryIndexPrune(ts *tableState, col string, keys map[value.
 	}
 	needed := map[int32]bool{}
 	for k := range keys {
-		for _, r := range ki.Lookup(k) {
-			needed[blockOf[r]] = true
+		if code, _, ok := dict.CodeRange(k); ok {
+			for _, r := range post.Of(code) {
+				needed[blockOf[r]] = true
+			}
 		}
 	}
 	kept := ts.candidates[:0]

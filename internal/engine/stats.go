@@ -20,6 +20,11 @@ type Stats struct {
 	BlocksRead  int64   `json:"blocks_read"`
 	RowsScanned int64   `json:"rows_scanned"`
 	SimSeconds  float64 `json:"sim_seconds"`
+	// ReductionsTruncated counts Execute calls whose semi-join reduction
+	// fixpoint stopped at Options.MaxReductionPasses while its last pass
+	// was still shrinking a row set. Their Results are correct for the
+	// passes run, but a higher cap would have reduced further.
+	ReductionsTruncated int64 `json:"reductions_truncated"`
 }
 
 // Sub returns s - o, for measuring deltas between snapshots.
@@ -30,6 +35,8 @@ func (s Stats) Sub(o Stats) Stats {
 		BlocksRead:  s.BlocksRead - o.BlocksRead,
 		RowsScanned: s.RowsScanned - o.RowsScanned,
 		SimSeconds:  s.SimSeconds - o.SimSeconds,
+
+		ReductionsTruncated: s.ReductionsTruncated - o.ReductionsTruncated,
 	}
 }
 
@@ -44,6 +51,7 @@ type engineCounters struct {
 	blocksRead  atomic.Int64
 	rowsScanned atomic.Int64
 	simSecBits  atomic.Uint64 // float64 bits, CAS-accumulated
+	truncated   atomic.Int64
 }
 
 // note records one execution's outcome.
@@ -80,5 +88,7 @@ func (e *Engine) StatsSnapshot() Stats {
 		BlocksRead:  e.counters.blocksRead.Load(),
 		RowsScanned: e.counters.rowsScanned.Load(),
 		SimSeconds:  math.Float64frombits(e.counters.simSecBits.Load()),
+
+		ReductionsTruncated: e.counters.truncated.Load(),
 	}
 }

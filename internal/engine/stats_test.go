@@ -1,9 +1,15 @@
 package engine
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
+	"mto/internal/block"
+	"mto/internal/layout"
+	"mto/internal/predicate"
+	"mto/internal/relation"
+	"mto/internal/value"
 	"mto/internal/workload"
 )
 
@@ -108,5 +114,70 @@ func TestReorderAggregates(t *testing.T) {
 	out, ok = ReorderAggregates(nil, nil)
 	if !ok || out != nil {
 		t.Fatal("empty sets should reorder to nil, true")
+	}
+}
+
+// TestReductionsTruncatedCounted runs a three-table chain whose filter on
+// c reaches a only in a second reduction pass. Capped at one pass, the
+// fixpoint stops while still shrinking: the query is counted as truncated
+// and its Result still equals the reference's under the same cap. With
+// the default cap nothing is truncated.
+func TestReductionsTruncatedCounted(t *testing.T) {
+	ds := relation.NewDataset()
+	a := relation.NewTable(relation.MustSchema("a", relation.Column{Name: "k", Type: value.KindInt}))
+	b := relation.NewTable(relation.MustSchema("b",
+		relation.Column{Name: "k", Type: value.KindInt}, relation.Column{Name: "j", Type: value.KindInt}))
+	c := relation.NewTable(relation.MustSchema("c",
+		relation.Column{Name: "j", Type: value.KindInt}, relation.Column{Name: "v", Type: value.KindInt}))
+	for i := 0; i < 40; i++ {
+		a.MustAppendRow(value.Int(int64(i)))
+		b.MustAppendRow(value.Int(int64(i)), value.Int(int64(i)))
+		c.MustAppendRow(value.Int(int64(i)), value.Int(int64(i%4)))
+	}
+	for _, tbl := range []*relation.Table{a, b, c} {
+		ds.MustAddTable(tbl)
+	}
+	design, err := layout.SortKeyDesign(ds, layout.SortKeys{"a": "k", "b": "k", "c": "j"}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := block.NewStore(block.DefaultCostModel())
+	if _, err := design.Install(store, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	q := workload.NewQuery("chain",
+		workload.TableRef{Table: "a"}, workload.TableRef{Table: "b"}, workload.TableRef{Table: "c"})
+	q.AddJoin("a", "k", "b", "k")
+	q.AddJoin("b", "j", "c", "j")
+	q.Filter("c", predicate.NewComparison("v", predicate.Eq, value.Int(0)))
+
+	for _, tc := range []struct {
+		passes    int
+		truncated int64
+		aRows     int
+	}{
+		{passes: 1, truncated: 1, aRows: 40},
+		{passes: 8, truncated: 0, aRows: 10},
+	} {
+		opts := DefaultOptions()
+		opts.MaxReductionPasses = tc.passes
+		e := New(store, design, ds, opts)
+		got, err := e.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.ExecuteReference(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%d passes: kernel diverges from reference:\n got %+v\nwant %+v", tc.passes, got, want)
+		}
+		if got.SurvivingRows["a"] != tc.aRows {
+			t.Errorf("%d passes: a keeps %d rows, want %d", tc.passes, got.SurvivingRows["a"], tc.aRows)
+		}
+		if n := e.StatsSnapshot().ReductionsTruncated; n != tc.truncated {
+			t.Errorf("%d passes: ReductionsTruncated = %d, want %d", tc.passes, n, tc.truncated)
+		}
 	}
 }

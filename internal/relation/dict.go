@@ -12,13 +12,14 @@ import (
 // rows). Join-key kernels probe int32 codes instead of boxed value.Value
 // map keys, and because codes are ranks, iterating a code set in ascending
 // order yields the values in sorted order — exactly what zone-interval
-// pruning wants. Like KeyIndex, only int and string columns are supported
-// (float join keys fall back to the boxed path).
+// pruning wants. Only int and string columns are supported (float join
+// keys fall back to the boxed path). Table.Dict caches one per column.
 type ColumnDict struct {
-	Kind  value.Kind
-	Codes []int32  // row → code; -1 for null rows
-	Ints  []int64  // code → value, ascending (int columns)
-	Strs  []string // code → value, ascending (string columns)
+	Kind    value.Kind
+	Codes   []int32  // row → code; -1 for null rows
+	Ints    []int64  // code → value, ascending (int columns)
+	Strs    []string // code → value, ascending (string columns)
+	HasNull bool     // some row is null (holds code -1)
 }
 
 // BuildColumnDict dictionary-encodes the named column of t.
@@ -30,6 +31,12 @@ func BuildColumnDict(t *Table, col string) (*ColumnDict, error) {
 	kind := t.Schema().Column(ci).Type
 	d := &ColumnDict{Kind: kind, Codes: make([]int32, t.NumRows())}
 	nulls := t.Nulls(ci)
+	for _, null := range nulls {
+		if null {
+			d.HasNull = true
+			break
+		}
+	}
 	switch kind {
 	case value.KindInt:
 		vals := t.Ints(ci)

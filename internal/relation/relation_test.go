@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mto/internal/value"
@@ -233,7 +234,7 @@ func TestDataset(t *testing.T) {
 	}
 }
 
-func TestKeyIndex(t *testing.T) {
+func TestPostings(t *testing.T) {
 	tab := NewTable(MustSchema("t",
 		Column{Name: "k", Type: value.KindInt},
 		Column{Name: "s", Type: value.KindString},
@@ -244,47 +245,93 @@ func TestKeyIndex(t *testing.T) {
 	tab.MustAppendRow(value.Int(1), value.Null, value.Float(0))
 	tab.MustAppendRow(value.Null, value.String("a"), value.Float(0))
 
-	ki, err := BuildKeyIndex(tab, "k")
-	if err != nil {
-		t.Fatal(err)
+	// lookup resolves a value to its rows through the dictionary, the way
+	// secondary-index pruning probes the postings.
+	lookup := func(col string, v value.Value) []int32 {
+		code, _, ok := tab.Dict(col).CodeRange(v)
+		if !ok {
+			return nil
+		}
+		return tab.Postings(col).Of(code)
 	}
-	if rows := ki.Lookup(value.Int(1)); len(rows) != 2 || rows[0] != 0 || rows[1] != 2 {
-		t.Errorf("Lookup(1) = %v", rows)
+	if rows := lookup("k", value.Int(1)); len(rows) != 2 || rows[0] != 0 || rows[1] != 2 {
+		t.Errorf("k=1 rows = %v", rows)
 	}
-	if rows := ki.LookupInt(2); len(rows) != 1 || rows[0] != 1 {
-		t.Errorf("LookupInt(2) = %v", rows)
+	if rows := lookup("k", value.Int(2)); len(rows) != 1 || rows[0] != 1 {
+		t.Errorf("k=2 rows = %v", rows)
 	}
-	if ki.Lookup(value.Null) != nil {
+	if lookup("k", value.Null) != nil {
 		t.Error("null lookup should be empty")
 	}
-	if ki.Lookup(value.String("a")) != nil {
+	if lookup("k", value.String("a")) != nil {
 		t.Error("mistyped lookup should be empty")
 	}
-	if ki.DistinctKeys() != 2 {
-		t.Errorf("DistinctKeys = %d", ki.DistinctKeys())
+	p := tab.Postings("k")
+	if len(p.Offsets) != 3 || p.Count(0) != 2 || p.Count(1) != 1 || len(p.Rows) != 3 {
+		t.Errorf("k postings = %+v, want 2 codes over the 3 non-null rows", p)
 	}
-	if keys := ki.SortedIntKeys(); len(keys) != 2 || keys[0] != 1 || keys[1] != 2 {
-		t.Errorf("SortedIntKeys = %v", keys)
+	if len(p.Nulls) != 1 || p.Nulls[0] != 3 {
+		t.Errorf("k null rows = %v, want [3]", p.Nulls)
+	}
+	if !tab.Dict("k").HasNull || !tab.Dict("s").HasNull {
+		t.Error("HasNull unset on columns with nulls")
+	}
+	if rows := lookup("s", value.String("a")); len(rows) != 2 || rows[0] != 0 || rows[1] != 3 {
+		t.Errorf("string rows = %v", rows)
+	}
+	if lookup("s", value.Int(1)) != nil {
+		t.Error("int lookup on string postings should be empty")
+	}
+	if tab.Postings("missing") != nil || tab.Dict("missing") != nil {
+		t.Error("postings on missing column")
+	}
+	if tab.Postings("f") != nil || tab.Dict("f") != nil {
+		t.Error("postings on float column")
+	}
+}
+
+// TestKeyCacheSharedUntilGrowth pins the ownership contract: every
+// caller gets the same dictionary, postings and translation objects while
+// the table is unchanged, and an append drops them all.
+func TestKeyCacheSharedUntilGrowth(t *testing.T) {
+	a := NewTable(MustSchema("a", Column{Name: "k", Type: value.KindInt}))
+	b := NewTable(MustSchema("b", Column{Name: "k", Type: value.KindInt}))
+	for _, v := range []int64{5, 3, 5, 9} {
+		a.MustAppendRow(value.Int(v))
+	}
+	for _, v := range []int64{9, 4, 3} {
+		b.MustAppendRow(value.Int(v))
+	}
+	d, p, x := a.Dict("k"), a.Postings("k"), a.Translation("k", b, "k")
+	builds := a.KeyCacheBuilds()
+	if builds != 3 {
+		t.Fatalf("builds = %d, want dict + postings + translation", builds)
+	}
+	if a.Dict("k") != d || a.Postings("k") != p || a.Translation("k", b, "k") != x {
+		t.Fatal("cached key state rebuilt without growth")
+	}
+	if a.KeyCacheBuilds() != builds {
+		t.Fatalf("builds = %d after cache hits, want %d", a.KeyCacheBuilds(), builds)
+	}
+	// a's codes: 3→0, 5→1, 9→2; b's: 3→0, 4→1, 9→2.
+	if want := []int32{0, -1, 2}; !reflect.DeepEqual(x.Codes, want) {
+		t.Fatalf("translation = %v, want %v", x.Codes, want)
+	}
+	if !x.Matched.Get(0) || x.Matched.Get(1) || !x.Matched.Get(2) || x.MatchedRows != 2 {
+		t.Fatalf("matched = %b over %d rows, want codes 0 and 2 over rows 1 and 3", x.Matched, x.MatchedRows)
 	}
 
-	si, err := BuildKeyIndex(tab, "s")
-	if err != nil {
-		t.Fatal(err)
+	// Growing the target rebuilds the translation against its new
+	// dictionary; growing the table itself drops everything.
+	b.MustAppendRow(value.Int(5))
+	if got, want := a.Translation("k", b, "k").Codes, []int32{0, 2, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("translation after target growth = %v, want %v", got, want)
 	}
-	if rows := si.Lookup(value.String("a")); len(rows) != 2 {
-		t.Errorf("string Lookup = %v", rows)
+	a.MustAppendRow(value.Int(7))
+	if a.Dict("k") == d || a.Postings("k") == p {
+		t.Fatal("cached key state survived an append")
 	}
-	if si.LookupInt(1) != nil {
-		t.Error("LookupInt on string index should be nil")
-	}
-	if si.DistinctKeys() != 2 {
-		t.Error("string DistinctKeys wrong")
-	}
-
-	if _, err := BuildKeyIndex(tab, "missing"); err == nil {
-		t.Error("index on missing column accepted")
-	}
-	if _, err := BuildKeyIndex(tab, "f"); err == nil {
-		t.Error("index on float column accepted")
+	if got := a.Postings("k").Of(a.Dict("k").Codes[4]); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("appended row's postings = %v", got)
 	}
 }

@@ -83,11 +83,14 @@ func (c *columnVec) at(row int) value.Value {
 	}
 }
 
-// Table is an append-only columnar table.
+// Table is an append-only columnar table. It also owns the join-key
+// state derived from its rows (dictionaries, postings, code translations;
+// see Dict), which it rebuilds once it has grown.
 type Table struct {
 	schema *Schema
 	cols   []*columnVec
 	rows   int
+	keys   keyCache
 }
 
 // NewTable returns an empty table with the given schema.

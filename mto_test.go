@@ -1,6 +1,7 @@
 package mto
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -368,5 +369,66 @@ func TestExecuteWorkload(t *testing.T) {
 		if seq.Results[i].Query != q.ID || par.Results[i].Query != q.ID {
 			t.Errorf("result %d out of input order", i)
 		}
+	}
+}
+
+// TestInsertInvalidatesKeyIndexes appends rows with new join keys to both
+// tables of a system that has already executed its workload (so the
+// tables' cached join-key indexes describe the old rows), absorbs them
+// with Insert, and requires every query to match the reference executor
+// and to see the new rows.
+func TestInsertInvalidatesKeyIndexes(t *testing.T) {
+	ds, w := buildDemo(t)
+	sys, err := Open(ds, w, Config{BlockSize: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[string]int{}
+	for _, q := range w.Queries {
+		res, err := sys.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[q.ID] = res.SurvivingRows["fact"]
+	}
+	dim, fact := ds.Table("dim"), ds.Table("fact")
+	oldDict := fact.Dict("dim_id")
+
+	// Dimension rows 400..403 (one per region) and 40 fact rows pointing
+	// at them: join keys neither dictionary has seen.
+	regions := []string{"NA", "EU", "APAC", "LATAM"}
+	var dimRows, factRows []int
+	for i, r := range regions {
+		dim.MustAppendRow(Int(int64(400+i)), String(r))
+		dimRows = append(dimRows, dim.NumRows()-1)
+	}
+	if _, err := sys.Insert("dim", dimRows); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		fact.MustAppendRow(Int(int64(20000+i)), Int(int64(400+i%4)), Float(1))
+		factRows = append(factRows, fact.NumRows()-1)
+	}
+	if _, err := sys.Insert("fact", factRows); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range w.Queries {
+		got, err := sys.Execute(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sys.eng.ExecuteReference(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: result after insert diverges from reference:\n got %+v\nwant %+v", q.ID, got, want)
+		}
+		if got.SurvivingRows["fact"] != before[q.ID]+10 {
+			t.Errorf("%s: %d fact rows after insert, want %d", q.ID, got.SurvivingRows["fact"], before[q.ID]+10)
+		}
+	}
+	if d := fact.Dict("dim_id"); d == oldDict || d.NumCodes() != oldDict.NumCodes()+4 {
+		t.Error("fact.dim_id dictionary not rebuilt for the inserted keys")
 	}
 }
